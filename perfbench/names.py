@@ -17,7 +17,7 @@ OPS = ("take_rows", "concat", "matmul", "segment_sum", "scale_rows", "segment_si
 HEADS = ("sign_head", "exist_head", "weight_head")
 
 END_TO_END = {
-    "setup_s": "s", "epoch_s": "s", "run_s": "s", "eval_s": "s", "reload_eval_s": "s",
+    "setup_s": "s", "epoch_s_p50": "s", "run_s": "s", "eval_s": "s", "reload_eval_s": "s",
     "peak_rss_mb": "MB",
 }
 # Printed with every run but not metrics: after the few epochs a run can afford

@@ -2,7 +2,8 @@
 
 ``Clock`` is the untraced instrumentation used for the end-to-end metrics: it
 reads one clock when the optimizer is built (end of set-up), one per
-``Adam.step`` and two around the ``evaluate`` call inside ``train``.
+``Adam.step`` and two around the ``evaluate`` call inside ``train``. Inside
+``stop_after_setup`` it ends ``train`` once set-up is done.
 
 ``Tracer`` is the traced instrumentation used for the per-layer metrics: every
 wrapped call records a span (name, start, end, parent span) and counts in
@@ -45,12 +46,28 @@ class _Patches:
         self._saved.clear()
 
 
+class SetupDone(Exception):
+    """Raised at the end of set-up by a ``Clock`` inside ``stop_after_setup``."""
+
+
 class Clock(_Patches):
     """End-to-end hooks. ``epoch_ends`` holds the clock after each Adam.step."""
 
     def __init__(self):
         super().__init__()
+        self.stop = False
         self.reset()
+
+    @contextlib.contextmanager
+    def stop_after_setup(self):
+        """``train`` called inside returns at the end of its set-up."""
+        self.stop = True
+        try:
+            yield
+        except SetupDone:
+            pass
+        finally:
+            self.stop = False
 
     def reset(self):
         self.setup_end = None
@@ -66,6 +83,8 @@ class Clock(_Patches):
         def init(opt, *a, **k):
             adam_init(opt, *a, **k)
             clock.setup_end = time.perf_counter()
+            if clock.stop:
+                raise SetupDone
 
         def step(opt):
             adam_step(opt)

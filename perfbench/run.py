@@ -6,8 +6,8 @@
 Run from the root of a source checkout; it needs ``src/wsgat``. The graph of a
 workload is generated from ``--seed`` (never timed) and written as tsv3 under
 ``.perfbench_work/``. A fresh worker process then repeats the workload's
-training run for about ``--seconds`` (at least once) and reports the fastest
-sample of each timing and the median set-up.
+training run for about ``--seconds`` (at least once) and reports the median
+of each timing's samples.
 ``--trace 1`` runs one untraced and one traced repetition instead, checks that
 both give the same report and loss history, and reports the per-layer metrics
 of the traced one. The last line of standard output is one JSON object with
@@ -38,6 +38,9 @@ ROOT = os.path.dirname(HERE)
 WORKDIR = os.path.join(ROOT, ".perfbench_work")
 TIME_LIMIT_S = 170  # the whole invocation, generation included
 BLAS_THREADS = 1    # two made epochs 5-20% faster but doubled the run-to-run spread
+# glibc malloc keeps freed memory instead of returning it to the system, so
+# that an epoch does not fault its temporaries in afresh (see README.md)
+MALLOC_ENV = {"MALLOC_MMAP_MAX_": "0", "MALLOC_TRIM_THRESHOLD_": str(2**62)}
 
 
 @dataclass(frozen=True)
@@ -54,10 +57,11 @@ class Workload:
 
 
 WORKLOADS = {
+    "epin16-sign": Workload("epin16", "sign", 4),
+    "otc-sw-2head": Workload("otc", "signed-weight", 3, {"heads": 2}),
+    # not in BENCHMARK.json (see README.md): too unsteady between runs, and
+    # no epochs or evaluation, respectively
     "alpha-sign-sse": Workload("alpha", "sign", 5, {"features": "sse"}),
-    "epin16-sign": Workload("epin16", "sign", 5),
-    "otc-sw-2head": Workload("otc", "signed-weight", 4, {"heads": 2}),
-    # graph layer at full epinions size; not in BENCHMARK.json (see README.md)
     "epinions-prep": Workload("epinions", "prep"),
 }
 
@@ -67,13 +71,13 @@ PREP_METRICS = ("setup_s", "peak_rss_mb")
 def environment():
     nproc = len(os.sched_getaffinity(0))
     return {"nproc": nproc, "blas_threads": BLAS_THREADS, "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__}
+            "numpy": np.__version__, "scipy": scipy.__version__, "malloc": MALLOC_ENV}
 
 
 def run_worker(name, wl, tsv, seed, seconds, traced, env, deadline):
     threads = str(env["blas_threads"])
     child_env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                     MKL_NUM_THREADS=threads,
+                     MKL_NUM_THREADS=threads, **env["malloc"],
                      PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), HERE]))
     cmd = [sys.executable, os.path.join(HERE, "worker.py"), "--tsv", tsv, "--task", wl.task,
            "--dataset", name, "--config", json.dumps(wl.train_config(seed)),
@@ -105,29 +109,23 @@ def failures(reps):
 
 
 def end_to_end(wl, out):
-    """Fastest sample of each timing, median set-up, peak RSS.
+    """Median of each timing's samples, and peak RSS.
 
-    Noise on a shared machine only ever adds time, so the fastest of a run's
-    samples is the steadiest estimate of a timing's cost: on the 2-CPU VM the
-    benchmark was tuned on, blocks of 25 samples of a fixed numpy loop had a
-    run-to-run spread of 15% for the median and 4% for the minimum. Set-up is
-    a median over repetitions after the first, whose set-up also pays one-time
-    process costs (first touch of the heap, lazily loaded code).
+    The first set-up of the process is left out: it also pays one-time
+    costs (first touch of the heap, lazily loaded code).
     """
     reps = out["reps"]
-    m = {}
-    for k in ("epoch_s", "run_s", "eval_s", "reload_eval_s"):
-        m[k] = min(samples(reps, k), default=None)
-    setups = samples(reps[1:] or reps, "setup_s")
-    m["setup_s"] = statistics.median(setups) if setups else None
-    m["peak_rss_mb"] = out.get("peak_rss_mb")
-    names = PREP_METRICS if wl.task == "prep" else END_TO_END
+    m = {"peak_rss_mb": out.get("peak_rss_mb")}
     lines = [f"  {len(reps)} repetition(s)"]
-    for k in ("setup_s", "run_s", "eval_s", "reload_eval_s", "epoch_s"):
+    for k in [k for k, unit in END_TO_END.items() if unit == "s"]:
         xs = samples(reps, k)
+        if k == "setup_s":
+            xs = xs[1:] or xs
+        m[k] = statistics.median(xs) if xs else None
         if xs:
-            lines.append(f"  {k}: {len(xs)} samples, median {statistics.median(xs):.4f}, "
-                         f"min {min(xs):.4f}: " + " ".join(f"{v:.4f}" for v in xs))
+            lines.append(f"  {k}: {len(xs)} samples, median {m[k]:.4f}: "
+                         + " ".join(f"{v:.4f}" for v in xs))
+    names = PREP_METRICS if wl.task == "prep" else END_TO_END
     return {k: m[k] for k in names}, lines + quality_lines(reps)
 
 
@@ -154,7 +152,8 @@ def run_workload(name, seed, seconds, trace, env):
             both = samples(traced["reps"], key)[:1] + samples(plain["reps"], key)[:1]
             if "per_layer" in traced and len(both) == 2:
                 metrics["trace.overhead_s"] = both[0] - both[1]
-            lines = [f"  traced and untraced repetitions compared: {len(reps)}"]
+            lines = [f"  traced and untraced repetitions compared: {len(reps)}",
+                     f"  {key} traced, untraced: " + " ".join(f"{v:.4f}" for v in both)]
             lines += quality_lines(reps)
         else:
             out = run_worker(name, wl, tsv, seed, seconds, False, env, deadline)

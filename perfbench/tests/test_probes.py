@@ -75,3 +75,15 @@ def test_hygiene_check_flags_a_leaked_negative():
 def test_attention_check_passes_on_a_trained_model():
     model, _ = pipelines.train("sign", small_graph(2), small_config())
     assert worker.attention_errors(model) == []
+
+
+def test_stop_after_setup_ends_train_before_the_first_epoch():
+    clock = probes.Clock().install()
+    try:
+        with clock.stop_after_setup():
+            pipelines.train("sign", small_graph(3), small_config())
+        assert clock.setup_end is not None and clock.epoch_ends == []
+        _, report = pipelines.train("sign", small_graph(3), small_config())
+    finally:
+        clock.uninstall()
+    assert len(clock.epoch_ends) == 3 and report.epochs_run == 3
