@@ -43,9 +43,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.values.copy())
-
     # operator sugar
     def __add__(self, other):
         return add(self, other)
@@ -235,6 +232,21 @@ def concat(parts, axis=0):
                 p.accumulate_grad(g[tuple(sl)])
 
     return Tensor(out_values, parents=tuple(parts), backward=backward, op="concat")
+
+
+def squeeze_col(a):
+    """(n, 1) column -> (n,); a 1-d tensor is returned unchanged."""
+    a = _as_tensor(a)
+    if a.values.ndim == 1:
+        return a
+    if a.values.ndim != 2 or a.shape[1] != 1:
+        raise ShapeError(f"squeeze_col: expected a column, got {a.shape}")
+
+    def backward(g, out):
+        if a.requires_grad:
+            a.accumulate_grad(g[:, None])
+
+    return Tensor(a.values[:, 0], parents=(a,), backward=backward, op="squeeze_col")
 
 
 def take_rows(a, idx):

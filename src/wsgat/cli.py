@@ -2,8 +2,9 @@
 
 Exit codes:
     0  success
-    2  parse / input error
-    3  degenerate task (e.g. sign prediction on an all-positive graph)
+    2  parse / input / config error
+    3  degenerate task or undefined metric (e.g. sign prediction on an
+       all-positive graph, or a test split with one sign only)
     4  convergence error
     5  numeric fault
     6  sampling exhaustion
@@ -13,6 +14,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -20,12 +22,14 @@ import numpy as np
 
 from . import checkpoint, verify as verify_mod
 from .errors import (
+    ConfigError,
     ConvergenceError,
     DegenerateTaskError,
     EmptyGraphError,
     GraphParseError,
     NumericFault,
     SamplingExhaustedError,
+    UndefinedMetricError,
 )
 from .graph import load_edge_list, save_edge_list
 from .pipelines import TASKS, TrainConfig, train
@@ -34,7 +38,9 @@ EXIT_CODES = {
     GraphParseError: 2,
     EmptyGraphError: 2,
     FileNotFoundError: 2,
+    ConfigError: 2,
     DegenerateTaskError: 3,
+    UndefinedMetricError: 3,
     ConvergenceError: 4,
     NumericFault: 5,
     SamplingExhaustedError: 6,
@@ -47,40 +53,35 @@ DATASET_FORMATS = {
     "epinions": "tsv3",
 }
 
-CONFIG_KEYS = {
-    "layers": int, "hidden": int, "embed": int, "heads": int,
-    "attention_hidden": int, "activation": str, "projection": "bool",
-    "self_loop_weight": float, "features": str, "feature_dim": int, "sse_dim": int,
-    "head_hidden": int, "head_layers": int,
-    "lr": float, "epochs": int, "patience": int, "lambda_weight": float,
-    "train_fraction": float, "val_fraction": float,
-}
+# key -> type of its TrainConfig default; the seed comes from --seed
+CONFIG_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)
+               if f.name != "seed"}
+BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
 
 
-def parse_config(path=None, overrides=None):
+def parse_config(path=None):
     """Flat 'key = value' text config; '#' comments; unknown keys rejected."""
     cfg = TrainConfig()
-    items = {}
-    if path:
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise GraphParseError(path, lineno, "expected 'key = value'")
-                k, v = (part.strip() for part in line.split("=", 1))
-                items[k] = v
-    items.update(overrides or {})
-    for k, v in items.items():
-        if k not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {k!r} (known: {sorted(CONFIG_KEYS)})")
-        caster = CONFIG_KEYS[k]
-        if caster == "bool":
-            v = v.strip().lower() in ("1", "true", "yes", "on") if isinstance(v, str) else bool(v)
-        else:
-            v = caster(v)
-        setattr(cfg, k, v)
+    if not path:
+        return cfg
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            k, v = (part.strip() for part in line.split("=", 1))
+            if k not in CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {k!r} "
+                                  f"(known: {sorted(CONFIG_KEYS)})")
+            kind = CONFIG_KEYS[k]
+            try:
+                setattr(cfg, k, BOOL_WORDS[v.lower()] if kind is bool else kind(v))
+            except (KeyError, ValueError):
+                raise ConfigError(f"{path}:{lineno}: {k} expects {kind.__name__}, "
+                                  f"got {v!r}") from None
     return cfg
 
 
@@ -140,7 +141,6 @@ def cmd_reproduce(args):
         print(f"missing ingested datasets; expected files: {expected}", file=sys.stderr)
         print("run `wsgat ingest <raw file> --out <data dir>` first", file=sys.stderr)
         return 2
-    cfg_base = parse_config(args.config)
     rows = ["dataset,auc_mean,auc_std,f1_mean,f1_std,mae_mean,mae_std"]
     for ds in datasets:
         g = load_edge_list(os.path.join(args.data, f"{ds}.tsv"), fmt="tsv3")

@@ -8,6 +8,10 @@ class WsgatError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(WsgatError, ValueError):
+    """Unknown key or malformed value in a training config."""
+
+
 class GraphParseError(WsgatError):
     """Malformed edge-list input; carries path and line number."""
 

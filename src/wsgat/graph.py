@@ -21,6 +21,11 @@ def _build_csr(num_nodes, src, dst, weight):
     return indptr, indices, data
 
 
+def pair_keys(src, dst, num_nodes):
+    """int64 key ``src * num_nodes + dst`` per ordered pair; keys sort like (src, dst)."""
+    return np.asarray(src, dtype=np.int64) * num_nodes + np.asarray(dst, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class SignedWeightedGraph:
     """Immutable directed graph with signed, nonzero real edge weights.
@@ -45,12 +50,13 @@ class SignedWeightedGraph:
         weight = np.asarray(weight, dtype=np.float64)
         if len(src) == 0:
             raise EmptyGraphError("graph has no edges")
+        if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= num_nodes:
+            raise ValueError(f"node ids must lie in [0, {num_nodes})")
         if np.any(src == dst):
             raise ValueError("self-loops are not allowed in the stored edge list")
         if not np.all(np.isfinite(weight)) or np.any(weight == 0.0):
             raise ValueError("edge weights must be finite and nonzero")
-        pairs = set(zip(src.tolist(), dst.tolist()))
-        if len(pairs) != len(src):
+        if len(np.unique(pair_keys(src, dst, num_nodes))) != len(src):
             raise ValueError("duplicate (src, dst) pairs")
         csr_out = _build_csr(num_nodes, src, dst, weight)
         csr_in = _build_csr(num_nodes, dst, src, weight)
@@ -63,8 +69,9 @@ class SignedWeightedGraph:
     def num_edges(self):
         return len(self.src)
 
-    def edge_set(self):
-        return set(zip(self.src.tolist(), self.dst.tolist()))
+    def edge_keys(self):
+        """``pair_keys`` of the edges, in edge order."""
+        return pair_keys(self.src, self.dst, self.num_nodes)
 
     def fraction_positive(self):
         return float(np.mean(self.weight > 0))
@@ -216,55 +223,40 @@ def split_edges(g, train_fraction=0.8, seed=0):
     )
     test_pos = np.column_stack([g.src[test_idx], g.dst[test_idx], g.weight[test_idx]])
 
-    exclude = g.edge_set()
-    negs = sample_negative_edges(g, n_train + len(test_idx), rng, exclude)
+    negs = sample_negative_edges(g, n_train + len(test_idx), rng)
     train_neg, test_neg = negs[:n_train], negs[n_train:]
     return EdgeSplit(train_graph, test_pos, train_neg, test_neg, seed)
 
 
-def sample_negative_edges(g, count, seed, exclude=None):
+def sample_negative_edges(g, count, seed):
     """Sample ``count`` distinct ordered non-adjacent, non-self pairs uniformly.
 
     ``seed`` may be an int or a Generator (the latter for callers that chain
-    several draws off one stream).
+    several draws off one stream). Each round accepts, in draw order, the
+    drawn pairs that are not self pairs, edges or already accepted.
     """
-    if count == 0:
-        return np.zeros((0, 2), dtype=np.int64)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    forbidden = g.edge_set() if exclude is None else set(exclude)
     n = g.num_nodes
-    capacity = n * n - n - len(forbidden - {(i, i) for i in range(n)})
+    capacity = n * n - n - g.num_edges
     if count > capacity:
         raise SamplingExhaustedError(
             f"requested {count} negatives but only {capacity} non-edges exist"
         )
-
-    out = []
-    seen = set()
-    max_rounds = 200
-    for _ in range(max_rounds):
-        need = count - len(out)
+    edges = g.edge_keys()
+    keys = np.zeros(0, dtype=np.int64)  # accepted pairs, in order
+    for _ in range(200):
+        need = count - len(keys)
         if need == 0:
             break
         batch = rng.integers(0, n, size=(max(4 * need, 64), 2))
-        for s, d in batch:
-            if len(out) == count:
-                break
-            s, d = int(s), int(d)
-            if s == d or (s, d) in forbidden or (s, d) in seen:
-                continue
-            seen.add((s, d))
-            out.append((s, d))
-    if len(out) < count:
+        drawn = pair_keys(batch[:, 0], batch[:, 1], n)
+        drawn = drawn[(batch[:, 0] != batch[:, 1]) & ~np.isin(drawn, edges) & ~np.isin(drawn, keys)]
+        _, first = np.unique(drawn, return_index=True)
+        keys = np.concatenate([keys, drawn[np.sort(first)[:need]]])
+    if len(keys) < count:
         # dense graph: fall back to enumerating the remaining non-edges
-        remaining = [
-            (s, d)
-            for s in range(n)
-            for d in range(n)
-            if s != d and (s, d) not in forbidden and (s, d) not in seen
-        ]
+        remaining = np.setdiff1d(np.arange(n * n), np.concatenate([edges, keys]))
+        remaining = remaining[remaining // n != remaining % n]
         rng.shuffle(remaining)
-        out.extend(remaining[: count - len(out)])
-    if len(out) < count:
-        raise SamplingExhaustedError(f"could not sample {count} negatives")
-    return np.array(out, dtype=np.int64)
+        keys = np.concatenate([keys, remaining[: count - len(keys)]])
+    return np.column_stack([keys // n, keys % n])

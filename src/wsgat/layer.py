@@ -103,16 +103,15 @@ class WsGatLayer:
 
     def attention_coefficients(self, head, logits, g):
         """Signed softmax per destination node."""
-        e = logits if logits.values.ndim == 1 else _flatten_column(logits)
         _, dst, _ = self.edge_arrays(g)
-        return ad.segment_signed_softmax(e, dst, g.num_nodes)
+        return ad.segment_signed_softmax(ad.squeeze_col(logits), dst, g.num_nodes)
 
     def forward(self, H, g):
         src, dst, _ = self.edge_arrays(g)
         outs = []
         for k in range(self.heads):
             logits = self.attention_logits(k, H, g)
-            alpha = ad.segment_signed_softmax(_flatten_column(logits), dst, g.num_nodes)
+            alpha = ad.segment_signed_softmax(ad.squeeze_col(logits), dst, g.num_nodes)
             z = ad.matmul(H, self.w_out[k]) if self.projection else H
             msgs = ad.scale_rows(ad.take_rows(z, src), alpha)
             outs.append(ad.segment_sum(msgs, dst, g.num_nodes))
@@ -126,21 +125,6 @@ class WsGatLayer:
                 acc = ad.add(acc, o)
             merged = ad.mul(acc, 1.0 / self.heads)
         return self.f(merged)
-
-
-def _flatten_column(t):
-    """(E,1) column tensor -> (E,) without leaving the graph."""
-    if t.values.ndim == 1:
-        return t
-    if t.values.ndim != 2 or t.shape[1] != 1:
-        raise ShapeError(f"expected a column, got {t.shape}")
-    out_values = t.values[:, 0]
-
-    def backward(g, out):
-        if t.requires_grad:
-            t.accumulate_grad(g[:, None])
-
-    return Tensor(out_values, parents=(t,), backward=backward, op="squeeze_col")
 
 
 class WsGatStack:

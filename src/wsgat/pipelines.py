@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, Tape, Adam
 from .errors import DegenerateTaskError
-from .graph import normalize_weights, split_edges
+from .graph import normalize_weights, pair_keys, split_edges
 from .layer import WsGatStack
 from .metrics import roc_auc, f1_score, mean_absolute_error
 from .spectral import signed_spectral_embedding, fallback_features
@@ -163,10 +163,10 @@ class TaskModel:
         return self.sign_head(self.pair_input(emb, pairs))
 
     def existence_logits(self, emb, pairs):
-        return _squeeze(self.exist_head(self.pair_input(emb, pairs)))
+        return ad.squeeze_col(self.exist_head(self.pair_input(emb, pairs)))
 
     def weight_values(self, emb, pairs):
-        raw = _squeeze(self.weight_head(self.pair_input(emb, pairs)))
+        raw = ad.squeeze_col(self.weight_head(self.pair_input(emb, pairs)))
         return ad.tanh(raw) if self.task == "signed-weight" else raw
 
     def parameter_arrays(self):
@@ -175,16 +175,6 @@ class TaskModel:
     def load_parameter_arrays(self, arrays):
         for k, v in self.tape.params.items():
             v.values = np.array(arrays[k], dtype=np.float64)
-
-
-def _squeeze(t):
-    out_values = t.values[:, 0]
-
-    def backward(g, out):
-        if t.requires_grad:
-            t.accumulate_grad(g[:, None])
-
-    return Tensor(out_values, parents=(t,), backward=backward, op="squeeze_col")
 
 
 def softplus(t):
@@ -259,11 +249,11 @@ def _train_loop(model, loss_fn, config):
 
 
 def _check_hygiene(split):
-    train = split.train_graph.edge_set()
-    test_pos = set(map(tuple, split.test_pos[:, :2].astype(np.int64)))
-    test_neg = set(map(tuple, split.test_neg))
-    assert not (train & test_pos), "test positives leaked into training edges"
-    assert not (train & test_neg), "test negatives collide with training edges"
+    train, n = split.train_graph.edge_keys(), split.train_graph.num_nodes
+    if np.isin(pair_keys(split.test_pos[:, 0], split.test_pos[:, 1], n), train).any():
+        raise RuntimeError("test positives leaked into training edges")
+    if np.isin(pair_keys(split.test_neg[:, 0], split.test_neg[:, 1], n), train).any():
+        raise RuntimeError("test negatives collide with training edges")
 
 
 def train_sign_prediction(g, config, dataset="unknown"):

@@ -54,13 +54,11 @@ def random_graph(rng, n, p=0.35, signed=True):
             return SignedWeightedGraph.from_edges(n, src, dst, w)
 
 
-def fd_gradcheck(make_loss, params, h=FD_H, rtol=FD_RTOL, corrupt_op=None):
+def fd_gradcheck(make_loss, params, h=FD_H, rtol=FD_RTOL):
     """Compare backward() gradients against central differences.
 
     make_loss() must rebuild the scalar loss from the *current* parameter
-    values. Returns the max relative error seen. corrupt_op perturbs the
-    analytic gradient of parameters whose loss graph flows through that op
-    (test fixture for fault injection).
+    values. Returns the max relative error seen.
     """
     loss = make_loss()
     for p in params:
@@ -68,9 +66,6 @@ def fd_gradcheck(make_loss, params, h=FD_H, rtol=FD_RTOL, corrupt_op=None):
     ad.backward(loss)
     analytic = [np.array(p.grad if p.grad is not None else np.zeros_like(p.values))
                 for p in params]
-    if corrupt_op is not None:
-        for g in analytic:
-            g += 1e-2
     max_err = 0.0
     for p, g in zip(params, analytic):
         flat = p.values.reshape(-1)
@@ -94,8 +89,7 @@ def dense_layer_reference(layer, H, g):
     outs = []
     for k in range(layer.heads):
         mlp = layer.att[k]
-        Wz = layer.w_out[k].values if layer.projection else np.eye(H.shape[1])
-        Z = H @ Wz
+        Z = H @ layer.w_out[k].values if layer.projection else H
         out = np.zeros((n, Z.shape[1]))
         for i in range(n):
             srcs, ws = g.in_edges(i)
@@ -128,12 +122,33 @@ def dense_layer_reference(layer, H, g):
     return layer.f(Tensor(merged)).values
 
 
-def _suite_gradcheck(corrupt_op=None):
+def auc_pairwise_oracle(scores, labels):
+    """Brute-force ROC AUC over all (pos, neg) pairs with half credit for ties."""
+    pos = [s for s, y in zip(scores, labels) if y == 1]
+    neg = [s for s, y in zip(scores, labels) if y == 0]
+    wins = sum(1.0 if p > q else (0.5 if p == q else 0.0) for p in pos for q in neg)
+    return wins / (len(pos) * len(neg))
+
+
+def f1_oracle(pred, labels):
+    """Binary F1 from counted true positives, false positives and false negatives."""
+    tp = sum(1 for p, y in zip(pred, labels) if p == 1 and y == 1)
+    fp = sum(1 for p, y in zip(pred, labels) if p == 1 and y == 0)
+    fn = sum(1 for p, y in zip(pred, labels) if p == 0 and y == 1)
+    return 0.0 if 2 * tp + fp + fn == 0 else 2 * tp / (2 * tp + fp + fn)
+
+
+def mae_oracle(a, b):
+    """Mean absolute error as a plain Python sum."""
+    return sum(abs(x - y) for x, y in zip(a, b)) / len(a)
+
+
+def _suite_gradcheck():
     failures = []
     rng = np.random.default_rng(7)
 
     def check(name, make_loss, params, expect=FD_RTOL):
-        err = fd_gradcheck(make_loss, params, corrupt_op=corrupt_op if corrupt_op == name or corrupt_op == "*" else None)
+        err = fd_gradcheck(make_loss, params)
         if err >= expect:
             failures.append(("autodiff", f"gradcheck:{name}", err))
 
@@ -200,8 +215,7 @@ def _suite_gradcheck(corrupt_op=None):
         if near_zero:
             continue
         params = model.tape.parameter_list()
-        err = fd_gradcheck(model_loss, params,
-                           corrupt_op="*" if corrupt_op == "model" else None)
+        err = fd_gradcheck(model_loss, params)
         if err >= FD_RTOL:
             failures.append(("wsgat", f"gradcheck:full_model_{trial}", err))
     return failures
@@ -302,11 +316,7 @@ def _suite_metrics():
         labels = rng.integers(0, 2, n)
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
-        # brute-force pairwise AUC
-        pos = scores[labels == 1]
-        neg = scores[labels == 0]
-        wins = sum(1.0 if p > q else (0.5 if p == q else 0.0) for p in pos for q in neg)
-        ref_auc = wins / (len(pos) * len(neg))
+        ref_auc = auc_pairwise_oracle(scores, labels)
         got = roc_auc(scores, labels)
         if got != ref_auc:
             failures.append(("metrics", "roc_auc_bruteforce", abs(got - ref_auc)))
@@ -315,10 +325,7 @@ def _suite_metrics():
         n = int(rng.integers(2, 30))
         pred = rng.integers(0, 2, n)
         labels = rng.integers(0, 2, n)
-        tp = int(np.sum((pred == 1) & (labels == 1)))
-        fp = int(np.sum((pred == 1) & (labels == 0)))
-        fn = int(np.sum((pred == 0) & (labels == 1)))
-        ref = 0.0 if 2 * tp + fp + fn == 0 else 2 * tp / (2 * tp + fp + fn)
+        ref = f1_oracle(pred, labels)
         got = f1_score(pred, labels)
         if got != ref:
             failures.append(("metrics", "f1_bruteforce", abs(got - ref)))
@@ -326,7 +333,7 @@ def _suite_metrics():
     for _ in range(1000):
         n = int(rng.integers(1, 30))
         a, b = rng.standard_normal(n), rng.standard_normal(n)
-        ref = sum(abs(x - y) for x, y in zip(a, b)) / n
+        ref = mae_oracle(a, b)
         if abs(mean_absolute_error(a, b) - ref) > 1e-15:
             failures.append(("metrics", "mae_bruteforce", abs(mean_absolute_error(a, b) - ref)))
             break
@@ -342,9 +349,9 @@ def _suite_metrics():
     return failures
 
 
-def run_suite(name, corrupt_op=None):
+def run_suite(name):
     if name == "gradcheck":
-        return _suite_gradcheck(corrupt_op=corrupt_op)
+        return _suite_gradcheck()
     if name == "oracle":
         return _suite_oracle()
     if name == "metrics":

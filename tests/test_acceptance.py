@@ -24,8 +24,6 @@ from wsgat.pipelines import (
 )
 
 from conftest import require_dataset
-from test_layer import dense_forward
-from test_metrics import auc_pairwise_oracle, f1_oracle
 
 
 def benchmark_config(seed, features="degree_onehot_log"):
@@ -64,7 +62,7 @@ def test_criterion_2_dense_oracle_equivalence():
                            attention_hidden=(6,))
         H = rng.standard_normal((n, 4))
         sparse = layer.forward(Tensor(H), g).values
-        dense = dense_forward(layer, H, g)
+        dense = verify.dense_layer_reference(layer, H, g)
         worst = max(worst, float(np.max(np.abs(sparse - dense))))
     elapsed = time.time() - t0
     assert worst < 1e-10, worst
@@ -156,12 +154,11 @@ def test_criterion_7_metric_oracles():
         labels = rng.integers(0, 2, n)
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
-        assert roc_auc(scores, labels) == auc_pairwise_oracle(scores, labels)
+        assert roc_auc(scores, labels) == verify.auc_pairwise_oracle(scores, labels)
         pred = rng.integers(0, 2, n)
-        assert f1_score(pred, labels) == f1_oracle(pred, labels)
+        assert f1_score(pred, labels) == verify.f1_oracle(pred, labels)
         a, b = rng.standard_normal(n), rng.standard_normal(n)
-        ref = sum(abs(x - y) for x, y in zip(a, b)) / n
-        assert abs(mean_absolute_error(a, b) - ref) < 1e-15
+        assert abs(mean_absolute_error(a, b) - verify.mae_oracle(a, b)) < 1e-15
     # closed form: all-positive predictor at positive rate p gives 2p/(1+p)
     p = 0.8998
     n = 10000

@@ -125,11 +125,20 @@ def test_verify_oracle_suite():
     assert main(["verify", "oracle"]) == 0
 
 
-def test_verify_gradcheck_fault_injection():
+def test_verify_gradcheck_fault_injection(monkeypatch):
+    import wsgat.autodiff as ad
     from wsgat import verify
-    failures = verify.run_suite("gradcheck", corrupt_op="matmul")
-    assert failures
-    assert any("matmul" in prop for _, prop, _ in failures)
+    matmul = ad.matmul
+
+    def matmul_wrong_backward(a, b):
+        out = matmul(a, b)
+        backward = out._backward
+        out._backward = lambda g, o: backward(2.0 * g, o)
+        return out
+
+    monkeypatch.setattr(ad, "matmul", matmul_wrong_backward)
+    failures = verify.run_suite("gradcheck")
+    assert ("autodiff", "gradcheck:matmul") in [(m, prop) for m, prop, _ in failures]
 
 
 def test_oracle_suite_covers_registered_properties():
@@ -159,3 +168,33 @@ def test_parse_config_rejects_unknown_key(tmp_path):
     p.write_text("nonsense = 1\n")
     with pytest.raises(ValueError):
         parse_config(str(p))
+
+
+@pytest.mark.parametrize("line", ["nonsense = 1", "epochs = 1.5", "projection = flase",
+                                  "lr = fast", "epochs"])
+def test_train_config_error_exit_code(toy_tsv, tmp_path, capsys, line):
+    p = tmp_path / "bad.cfg"
+    p.write_text(line + "\n")
+    assert main(["train", "sign", toy_tsv, "--config", str(p),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_undefined_metric_exit_code(tmp_path, tiny_cfg, capsys):
+    # one negative edge among 20: at seed 0 it lands in training, so the test
+    # split holds positive edges only and sign AUC is undefined
+    p = tmp_path / "one_neg.tsv"
+    p.write_text("".join(f"{i}\t{(i + 1) % 20}\t{-1.0 if i == 0 else 1.0}\n" for i in range(20)))
+    assert main(["train", "sign", str(p), "--config", tiny_cfg,
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "ROC AUC needs both classes" in capsys.readouterr().err
+
+
+def test_sampling_exhausted_exit_code(tmp_path, tiny_cfg):
+    # complete digraph on three nodes: no non-edge to sample
+    p = tmp_path / "complete.tsv"
+    p.write_text("".join(f"{i}\t{j}\t{1.0 if i < j else -1.0}\n"
+                         for i in range(3) for j in range(3) if i != j))
+    assert main(["train", "sign", str(p), "--config", tiny_cfg,
+                 "--out", str(tmp_path / "o")]) == 6

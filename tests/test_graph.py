@@ -4,6 +4,7 @@ import pytest
 from wsgat.errors import EmptyGraphError, GraphParseError, SamplingExhaustedError
 from wsgat.graph import (
     SignedWeightedGraph,
+    pair_keys,
     load_edge_list,
     save_edge_list,
     normalize_weights,
@@ -83,7 +84,7 @@ def test_symmetrize_emits_both_arcs(tmp_path):
     p.write_text("a\tb\t0.8\n")
     g = load_edge_list(p, "tsv3", symmetrize=True)
     assert g.num_edges == 2
-    assert g.edge_set() == {(0, 1), (1, 0)}
+    assert sorted(g.edge_keys().tolist()) == [1, 2]  # (0, 1) and (1, 0) with n = 2
 
 
 def test_roundtrip_tsv3(tmp_path):
@@ -102,6 +103,17 @@ def test_csr_directions_consistent():
     out_edges = {(i, int(j), w) for i in range(8) for j, w in zip(*g.out_edges(i))}
     in_edges = {(int(j), i, w) for i in range(8) for j, w in zip(*g.in_edges(i))}
     assert out_edges == in_edges == set(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()))
+
+
+@pytest.mark.parametrize("src,dst", [([-1, 0], [1, 2]), ([0, 1], [1, 3])])
+def test_from_edges_rejects_node_ids_out_of_range(src, dst):
+    with pytest.raises(ValueError, match="node ids"):
+        SignedWeightedGraph.from_edges(3, src, dst, [1.0, 1.0])
+
+
+def test_from_edges_rejects_duplicate_pairs():
+    with pytest.raises(ValueError, match="duplicate"):
+        SignedWeightedGraph.from_edges(3, [0, 1, 0], [1, 2, 1], [1.0, 1.0, -1.0])
 
 
 def test_normalize_signed_unit():
@@ -135,10 +147,11 @@ def test_split_counts_and_disjointness():
     assert len(split.test_pos) == g.num_edges - n_train
     assert len(split.train_neg) == n_train
     assert len(split.test_neg) == len(split.test_pos)
-    train_set = split.train_graph.edge_set()
-    test_set = {(int(s), int(d)) for s, d, _ in split.test_pos}
-    assert not train_set & test_set
-    assert train_set | test_set == g.edge_set()
+    train_keys = split.train_graph.edge_keys()
+    test_keys = pair_keys(split.test_pos[:, 0], split.test_pos[:, 1], g.num_nodes)
+    assert not np.isin(test_keys, train_keys).any()
+    assert np.array_equal(np.sort(np.concatenate([train_keys, test_keys])),
+                          np.sort(g.edge_keys()))
 
 
 def test_split_deterministic():
@@ -154,7 +167,7 @@ def test_split_negatives_absent_from_original_edges():
     # brute-force membership oracle on a small graph
     g = toy_signed_graph(n=6, seed=11, p=0.3)
     split = split_edges(g, 0.8, seed=1)
-    edges = g.edge_set()
+    edges = set(zip(g.src.tolist(), g.dst.tolist()))
     for s, d in np.vstack([split.train_neg, split.test_neg]):
         assert (int(s), int(d)) not in edges
         assert s != d
@@ -190,5 +203,66 @@ def test_negative_sampling_no_duplicates_and_deterministic():
     b = sample_negative_edges(g, 100, seed=42)
     assert np.array_equal(a, b)
     assert len({(int(s), int(d)) for s, d in a}) == 100
-    edges = g.edge_set()
+    edges = set(zip(g.src.tolist(), g.dst.tolist()))
     assert all((int(s), int(d)) not in edges for s, d in a)
+
+
+def loop_sample_negative_edges(g, count, seed):
+    """Reference sampler: the pair-at-a-time loop over Python sets."""
+    if count == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    n = g.num_nodes
+    forbidden = set(zip(g.src.tolist(), g.dst.tolist()))
+    if count > n * n - n - len(forbidden):
+        raise SamplingExhaustedError("not enough non-edges")
+    out, seen = [], set()
+    for _ in range(200):
+        need = count - len(out)
+        if need == 0:
+            break
+        for s, d in rng.integers(0, n, size=(max(4 * need, 64), 2)).tolist():
+            if len(out) == count:
+                break
+            if s != d and (s, d) not in forbidden and (s, d) not in seen:
+                seen.add((s, d))
+                out.append((s, d))
+    if len(out) < count:
+        remaining = [(s, d) for s in range(n) for d in range(n)
+                     if s != d and (s, d) not in forbidden and (s, d) not in seen]
+        rng.shuffle(remaining)
+        out.extend(remaining[: count - len(out)])
+    return np.array(out, dtype=np.int64)
+
+
+def test_negative_sampling_matches_loop_reference():
+    rng = np.random.default_rng(0)
+    cases = []
+    for _ in range(150):
+        n = int(rng.integers(2, 12))
+        m = rng.random((n, n)) < rng.choice([0.1, 0.5, 0.9, 1.0])
+        np.fill_diagonal(m, False)
+        cases.append((n, m, None))
+    # nearly complete digraphs: 200 rounds of 64 draws often miss the last
+    # free pairs, so these reach the enumerate-and-shuffle fallback
+    for k in (1, 2, 3):
+        n = 150
+        m = ~np.eye(n, dtype=bool)
+        m.flat[rng.choice(np.flatnonzero(m), size=k, replace=False)] = False
+        cases.append((n, m, k))
+    for n, m, count in cases:
+        src, dst = np.nonzero(m)
+        if len(src) == 0:
+            continue
+        g = SignedWeightedGraph.from_edges(n, src, dst, np.ones(len(src)))
+        capacity = n * n - n - len(src)
+        counts = {0, 1, capacity // 2, capacity, capacity + 1} if count is None else {count}
+        for c in sorted(counts):
+            seed = int(rng.integers(0, 2**31))
+            if c > capacity:
+                with pytest.raises(SamplingExhaustedError):
+                    sample_negative_edges(g, c, seed)
+                continue
+            got = sample_negative_edges(g, c, seed)
+            assert got.dtype == np.int64 and got.shape == (c, 2)
+            assert np.array_equal(got, loop_sample_negative_edges(g, c, seed))

@@ -6,49 +6,9 @@ from wsgat.autodiff import Tensor, Tape
 from wsgat.errors import ShapeError
 from wsgat.graph import SignedWeightedGraph
 from wsgat.layer import WsGatLayer, WsGatStack
+from wsgat.verify import dense_layer_reference
 
 from conftest import toy_signed_graph
-
-
-def mlp_eval(mlp, x):
-    """Per-edge attention MLP, plain numpy (oracle helper)."""
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        x = x @ w.values + b.values
-        if i == len(mlp.weights) - 1:
-            x = np.tanh(x)
-        else:
-            x = np.where(x >= 0, x, mlp.slope * x)
-    return x
-
-
-def dense_forward(layer, H, g):
-    """Brute-force reference over the full N x N attention structure."""
-    n = g.num_nodes
-    heads_out = []
-    for k in range(layer.heads):
-        Z = H @ layer.w_out[k].values if layer.projection else H
-        out = np.zeros((n, Z.shape[1]))
-        for i in range(n):
-            srcs, ws = g.in_edges(i)
-            srcs = [int(s) for s in srcs] + [i]
-            ws = list(ws) + [layer.self_loop_weight]
-            logits = np.array([
-                float(mlp_eval(layer.att[k], np.concatenate([H[i], H[j], [w]]))[0])
-                for j, w in zip(srcs, ws)
-            ])
-            p = np.exp(np.abs(logits) - np.abs(logits).max())
-            p /= p.sum()
-            alpha = np.sign(logits) * p
-            for a, j in zip(alpha, srcs):
-                out[i] += a * Z[j]
-        heads_out.append(out)
-    if layer.heads == 1:
-        merged = heads_out[0]
-    elif layer.head_merge == "concat":
-        merged = np.hstack(heads_out)
-    else:
-        merged = np.mean(heads_out, axis=0)
-    return layer.f(Tensor(merged)).values
 
 
 def make_layer(seed=0, in_width=4, out_width=3, **kw):
@@ -129,7 +89,7 @@ def test_dense_oracle_equivalence(heads, merge):
         layer = make_layer(seed=trial, heads=heads, head_merge=merge)
         H = rng.standard_normal((n, 4))
         sparse = layer.forward(Tensor(H), g).values
-        assert np.max(np.abs(sparse - dense_forward(layer, H, g))) < 1e-10
+        assert np.max(np.abs(sparse - dense_layer_reference(layer, H, g))) < 1e-10
 
 
 def test_edge_ablation_changes_only_reachable_rows():
