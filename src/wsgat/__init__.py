@@ -18,9 +18,6 @@ from .pipelines import (
     EvalReport,
     TaskModel,
     train,
-    train_sign_prediction,
-    train_weight_prediction,
-    train_signed_weight_prediction,
     evaluate,
 )
 

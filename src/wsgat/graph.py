@@ -3,22 +3,11 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGraphError, GraphParseError, SamplingExhaustedError
-
-
-def _build_csr(num_nodes, src, dst, weight):
-    """CSR over (src -> dst): returns (indptr, indices, data) sorted by src then dst."""
-    order = np.lexsort((dst, src))
-    indices = dst[order]
-    data = weight[order]
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, indices, data
+from .errors import ConfigError, EmptyGraphError, GraphParseError, SamplingExhaustedError
 
 
 def pair_keys(src, dst, num_nodes):
@@ -31,8 +20,7 @@ class SignedWeightedGraph:
     """Immutable directed graph with signed, nonzero real edge weights.
 
     Node ids are contiguous ints in [0, num_nodes). ``src``, ``dst``, ``weight``
-    are parallel arrays of the (deduplicated, loop-free) edge list. Both CSR
-    directions describe the same edge multiset.
+    are parallel arrays of the (deduplicated, loop-free) edge list.
     """
 
     num_nodes: int
@@ -40,8 +28,6 @@ class SignedWeightedGraph:
     dst: np.ndarray
     weight: np.ndarray
     node_labels: tuple = ()
-    csr_out: tuple = field(default=None, repr=False)
-    csr_in: tuple = field(default=None, repr=False)
 
     @staticmethod
     def from_edges(num_nodes, src, dst, weight, node_labels=()):
@@ -58,9 +44,7 @@ class SignedWeightedGraph:
             raise ValueError("edge weights must be finite and nonzero")
         if len(np.unique(pair_keys(src, dst, num_nodes))) != len(src):
             raise ValueError("duplicate (src, dst) pairs")
-        csr_out = _build_csr(num_nodes, src, dst, weight)
-        csr_in = _build_csr(num_nodes, dst, src, weight)
-        g = SignedWeightedGraph(num_nodes, src, dst, weight, tuple(node_labels), csr_out, csr_in)
+        g = SignedWeightedGraph(num_nodes, src, dst, weight, tuple(node_labels))
         for arr in (g.src, g.dst, g.weight):
             arr.setflags(write=False)
         return g
@@ -77,13 +61,10 @@ class SignedWeightedGraph:
         return float(np.mean(self.weight > 0))
 
     def in_edges(self, i):
-        """(sources, weights) of edges pointing at node i."""
-        indptr, indices, data = self.csr_in
-        return indices[indptr[i]:indptr[i + 1]], data[indptr[i]:indptr[i + 1]]
-
-    def out_edges(self, i):
-        indptr, indices, data = self.csr_out
-        return indices[indptr[i]:indptr[i + 1]], data[indptr[i]:indptr[i + 1]]
+        """(sources, weights) of edges pointing at node i, sources ascending."""
+        idx = np.flatnonzero(self.dst == i)
+        idx = idx[np.argsort(self.src[idx])]
+        return self.src[idx], self.weight[idx]
 
 
 def load_edge_list(path, fmt="tsv3", symmetrize=False):
@@ -139,20 +120,19 @@ def load_edge_list(path, fmt="tsv3", symmetrize=False):
 
     labels = sorted({s for s, _, _ in raw} | {d for _, d, _ in raw}, key=_label_key)
     index = {lab: i for i, lab in enumerate(labels)}
-    dedup = {}  # (src, dst) -> weight, last occurrence wins
-    for s, d, w in raw:
-        si, di = index[s], index[d]
-        if si == di:
-            continue
-        dedup[(si, di)] = w
-    if not dedup:
+    src = np.array([index[s] for s, _, _ in raw], dtype=np.int64)
+    dst = np.array([index[d] for _, d, _ in raw], dtype=np.int64)
+    weight = np.array([w for _, _, w in raw], dtype=np.float64)
+    loop_free = src != dst
+    if not loop_free.any():
         raise EmptyGraphError(f"{path}: only self-loops present")
-
-    items = sorted(dedup.items())
-    src = np.array([k[0] for k, _ in items], dtype=np.int64)
-    dst = np.array([k[1] for k, _ in items], dtype=np.int64)
-    weight = np.array([v for _, v in items], dtype=np.float64)
-    return SignedWeightedGraph.from_edges(len(labels), src, dst, weight, labels)
+    src, dst, weight = src[loop_free], dst[loop_free], weight[loop_free]
+    # np.unique keeps the first occurrence of each key, so the last one of the
+    # file is the first one of the reversed keys; output is sorted by (src, dst)
+    keys = pair_keys(src, dst, len(labels))
+    _, first_reversed = np.unique(keys[::-1], return_index=True)
+    last = len(keys) - 1 - first_reversed
+    return SignedWeightedGraph.from_edges(len(labels), src[last], dst[last], weight[last], labels)
 
 
 def _label_key(lab):
@@ -212,7 +192,7 @@ class EdgeSplit:
 
 def split_edges(g, train_fraction=0.8, seed=0):
     if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
+        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(g.num_edges)
     n_train = int(np.floor(train_fraction * g.num_edges))

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 def _activation(name):
@@ -24,7 +24,7 @@ def _activation(name):
         "leaky_relu": ad.leaky_relu,
     }
     if name not in table:
-        raise ValueError(f"unknown activation {name!r}")
+        raise ConfigError(f"unknown activation {name!r}")
     return table[name]
 
 
@@ -60,6 +60,8 @@ class WsGatLayer:
                  projection=True):
         if head_merge not in ("concat", "mean"):
             raise ValueError(f"unknown head_merge {head_merge!r}")
+        if heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {heads}")
         if not projection:
             out_width = in_width
         self.in_width, self.out_width = in_width, out_width

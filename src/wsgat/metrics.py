@@ -16,21 +16,19 @@ def roc_auc(scores, labels):
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be equal-length 1-d sequences")
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("ROC AUC needs both classes present")
 
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    # a run of tied scores fills sorted positions [start, end); each member
+    # gets the run's average 1-based rank
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)
+    start = end - counts
+    ranks = (0.5 * (start + end - 1) + 1.0)[inverse]
     rank_sum_pos = float(ranks[labels == 1].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, Tape, Adam
-from .errors import DegenerateTaskError
+from .errors import ConfigError, DegenerateTaskError
 from .graph import normalize_weights, pair_keys, split_edges
 from .layer import WsGatStack
 from .metrics import roc_auc, f1_score, mean_absolute_error
@@ -207,21 +207,27 @@ def cross_entropy(logits, labels, num_classes=3):
 def _val_slice(n, frac, rng):
     """Front/back split of a shuffled index range: (train_idx, val_idx).
 
-    frac=0 disables the validation slice; callers then monitor train loss.
+    frac=0 leaves no validation slice; val_idx is then train_idx, so early
+    stopping monitors the train loss.
     """
+    if not 0.0 <= frac < 1.0:
+        raise ConfigError(f"val_fraction must be in [0, 1), got {frac}")
     perm = rng.permutation(n)
     n_val = int(np.floor(frac * n))
     if frac > 0 and n > 1:
         n_val = max(1, n_val)
+    if n_val == 0:
+        return perm, perm
     return perm[n_val:], perm[:n_val]
 
 
-def _train_loop(model, loss_fn, config):
-    """Full-batch Adam with early stopping on a validation loss closure.
+def _train_loop(model, loss_fn, batches, config):
+    """Full-batch Adam with early stopping on the validation loss.
 
-    loss_fn(which) -> scalar Tensor, which in {"train", "val"}.
+    batches is (train_batch, val_batch); loss_fn(emb, batch) -> scalar Tensor.
     Returns (epochs_run, train_loss_history).
     """
+    train_batch, val_batch = batches
     opt = Adam(model.tape.parameter_list(), lr=config.lr)
     best_val = np.inf
     best_params = model.parameter_arrays()
@@ -230,12 +236,12 @@ def _train_loop(model, loss_fn, config):
     epochs_run = 0
     for epoch in range(config.epochs):
         model.tape.reset()
-        loss = loss_fn("train")
+        loss = loss_fn(model.embeddings(), train_batch)
         model.tape.backward(loss)
         opt.step()
         history.append(float(loss.values))
         epochs_run = epoch + 1
-        val = float(loss_fn("val").values)
+        val = float(loss_fn(model.embeddings(), val_batch).values)
         if val < best_val - 1e-12:
             best_val = val
             best_params = model.parameter_arrays()
@@ -254,85 +260,6 @@ def _check_hygiene(split):
         raise RuntimeError("test positives leaked into training edges")
     if np.isin(pair_keys(split.test_neg[:, 0], split.test_neg[:, 1], n), train).any():
         raise RuntimeError("test negatives collide with training edges")
-
-
-def train_sign_prediction(g, config, dataset="unknown"):
-    if not (np.any(g.weight > 0) and np.any(g.weight < 0)):
-        raise DegenerateTaskError("sign prediction needs both positive and negative edges")
-    t0 = time.time()
-    g = normalize_weights(g, "signed_unit")
-    split = split_edges(g, config.train_fraction, config.seed)
-    _check_hygiene(split)
-    tg = split.train_graph
-    model = TaskModel("sign", tg, config)
-
-    pos_pairs = np.column_stack([tg.src, tg.dst])
-    pos_labels = np.where(tg.weight > 0, 0, 1)  # class 0 positive, 1 negative
-    neg_pairs = split.train_neg
-    pairs = np.vstack([pos_pairs, neg_pairs])
-    labels = np.concatenate([pos_labels, np.full(len(neg_pairs), 2)])
-
-    rng = np.random.default_rng(config.seed + 1)
-    tr_idx, va_idx = _val_slice(len(pairs), config.val_fraction, rng)
-
-    def loss_fn(which):
-        idx = tr_idx if which == "train" or len(va_idx) == 0 else va_idx
-        emb = model.embeddings()
-        return cross_entropy(model.sign_logits(emb, pairs[idx]), labels[idx])
-
-    epochs_run, history = _train_loop(model, loss_fn, config)
-    report = evaluate(model, split, "sign", dataset=dataset,
-                      epochs_run=epochs_run, wall_s=time.time() - t0)
-    report.history = history
-    return model, report
-
-
-def _train_weight_task(g, config, dataset, task):
-    t0 = time.time()
-    mode = "signed_unit" if task == "signed-weight" else "unit_abs"
-    if task == "signed-weight" and not np.any(g.weight < 0):
-        raise DegenerateTaskError("signed weight prediction needs negative edges")
-    g = normalize_weights(g, mode)
-    split = split_edges(g, config.train_fraction, config.seed)
-    _check_hygiene(split)
-    tg = split.train_graph
-    model = TaskModel(task, tg, config)
-
-    pos_pairs = np.column_stack([tg.src, tg.dst])
-    neg_pairs = split.train_neg
-    exist_pairs = np.vstack([pos_pairs, neg_pairs])
-    exist_labels = np.concatenate([np.ones(len(pos_pairs)), np.zeros(len(neg_pairs))])
-    targets = tg.weight.copy()
-
-    rng = np.random.default_rng(config.seed + 1)
-    tr_pos, va_pos = _val_slice(len(pos_pairs), config.val_fraction, rng)
-    tr_neg, va_neg = _val_slice(len(neg_pairs), config.val_fraction, rng)
-
-    def loss_fn(which):
-        use_train = which == "train" or (len(va_pos) == 0 and len(va_neg) == 0)
-        p, q = (tr_pos, tr_neg) if use_train else (va_pos, va_neg)
-        idx = np.concatenate([p, q + len(pos_pairs)])
-        emb = model.embeddings()
-        bce = bce_with_logits(
-            model.existence_logits(emb, exist_pairs[idx]),
-            Tensor(exist_labels[idx]),
-        )
-        w_loss = mse(model.weight_values(emb, pos_pairs[p]), Tensor(targets[p]))
-        return ad.add(bce, ad.mul(w_loss, config.lambda_weight))
-
-    epochs_run, history = _train_loop(model, loss_fn, config)
-    report = evaluate(model, split, task, dataset=dataset,
-                      epochs_run=epochs_run, wall_s=time.time() - t0)
-    report.history = history
-    return model, report
-
-
-def train_weight_prediction(g, config, dataset="unknown"):
-    return _train_weight_task(g, config, dataset, "weight")
-
-
-def train_signed_weight_prediction(g, config, dataset="unknown"):
-    return _train_weight_task(g, config, dataset, "signed-weight")
 
 
 def evaluate(model, split, task, dataset="unknown", epochs_run=0, wall_s=0.0):
@@ -373,9 +300,48 @@ def evaluate(model, split, task, dataset="unknown", epochs_run=0, wall_s=0.0):
 
 
 def train(task, g, config, dataset="unknown"):
-    fn = {
-        "sign": train_sign_prediction,
-        "weight": train_weight_prediction,
-        "signed-weight": train_signed_weight_prediction,
-    }[task]
-    return fn(g, config, dataset=dataset)
+    """Train one task on ``g`` and score it on its held-out split: (model, report)."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    t0 = time.time()
+    if task == "sign" and not (np.any(g.weight > 0) and np.any(g.weight < 0)):
+        raise DegenerateTaskError("sign prediction needs both positive and negative edges")
+    if task == "signed-weight" and not np.any(g.weight < 0):
+        raise DegenerateTaskError("signed weight prediction needs negative edges")
+    g = normalize_weights(g, "unit_abs" if task == "weight" else "signed_unit")
+    split = split_edges(g, config.train_fraction, config.seed)
+    _check_hygiene(split)
+    tg = split.train_graph
+    model = TaskModel(task, tg, config)
+    pos_pairs = np.column_stack([tg.src, tg.dst])
+    pairs = np.vstack([pos_pairs, split.train_neg])
+    rng = np.random.default_rng(config.seed + 1)
+
+    if task == "sign":
+        # class 0 positive, 1 negative, 2 non-existent
+        labels = np.concatenate([np.where(tg.weight > 0, 0, 1),
+                                 np.full(len(split.train_neg), 2)])
+        batches = _val_slice(len(pairs), config.val_fraction, rng)
+
+        def loss_fn(emb, idx):
+            return cross_entropy(model.sign_logits(emb, pairs[idx]), labels[idx])
+    else:
+        exist_labels = np.concatenate([np.ones(len(pos_pairs)), np.zeros(len(split.train_neg))])
+        # the positive slice is drawn first; |train_neg| = |train edges|, so
+        # both slices fall back to the train slice together
+        slices = zip(_val_slice(len(pos_pairs), config.val_fraction, rng),
+                     _val_slice(len(split.train_neg), config.val_fraction, rng))
+        batches = [(np.concatenate([p, q + len(pos_pairs)]), p) for p, q in slices]
+
+        def loss_fn(emb, batch):
+            idx, p = batch
+            bce = bce_with_logits(model.existence_logits(emb, pairs[idx]),
+                                  Tensor(exist_labels[idx]))
+            w_loss = mse(model.weight_values(emb, pos_pairs[p]), Tensor(tg.weight[p]))
+            return ad.add(bce, ad.mul(w_loss, config.lambda_weight))
+
+    epochs_run, history = _train_loop(model, loss_fn, batches, config)
+    report = evaluate(model, split, task, dataset=dataset,
+                      epochs_run=epochs_run, wall_s=time.time() - t0)
+    report.history = history
+    return model, report

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
 
 
 def _signed_adjacency(g):
@@ -74,13 +74,13 @@ def fallback_features(g, kind="degree_onehot_log", d=8, seed=0):
     random_normal:     seeded standard normal matrix.
     """
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise ConfigError(f"feature_dim must be >= 1, got {d}")
     n = g.num_nodes
     if kind == "random_normal":
         rng = np.random.default_rng(seed)
         return rng.standard_normal((n, d))
     if kind != "degree_onehot_log":
-        raise ValueError(f"unknown feature kind {kind!r}")
+        raise ConfigError(f"unknown feature kind {kind!r}")
     in_deg = np.bincount(g.dst, minlength=n).astype(float)
     out_deg = np.bincount(g.src, minlength=n).astype(float)
     w_in = np.zeros(n)

@@ -37,8 +37,9 @@ ORACLE_PROPERTIES = [
 ]
 
 
-def random_graph(rng, n, p=0.35, signed=True):
-    """Random directed graph with signed weights; guaranteed >= 1 edge."""
+def random_graph(rng, n, p=0.35):
+    """Random directed graph, each weight in [0.1, 1) and positive with
+    probability 0.6; guaranteed >= 1 edge."""
     while True:
         src, dst, w = [], [], []
         for i in range(n):
@@ -46,10 +47,7 @@ def random_graph(rng, n, p=0.35, signed=True):
                 if i != j and rng.random() < p:
                     src.append(i)
                     dst.append(j)
-                    weight = rng.uniform(0.1, 1.0)
-                    if signed and rng.random() < 0.4:
-                        weight = -weight
-                    w.append(weight)
+                    w.append(rng.uniform(0.1, 1.0) * (1 if rng.random() < 0.6 else -1))
         if src:
             return SignedWeightedGraph.from_edges(n, src, dst, w)
 

@@ -8,12 +8,12 @@ from wsgat.cli import main, parse_config
 from wsgat.graph import save_edge_list
 from wsgat.pipelines import TrainConfig
 
-from conftest import toy_signed_graph
+from wsgat.verify import random_graph
 
 
 @pytest.fixture
 def toy_tsv(tmp_path):
-    g = toy_signed_graph(n=12, seed=9, p=0.35)
+    g = random_graph(np.random.default_rng(9), 12, 0.35)
     p = tmp_path / "toy.tsv"
     save_edge_list(g, p)
     return str(p)
@@ -103,7 +103,7 @@ def test_reproduce_on_toy_datasets(tmp_path, tiny_cfg, capsys):
     data = tmp_path / "data"
     data.mkdir()
     for name, seed in (("bitcoin-alpha", 1), ("bitcoin-otc", 2)):
-        save_edge_list(toy_signed_graph(n=12, seed=seed, p=0.35), data / f"{name}.tsv")
+        save_edge_list(random_graph(np.random.default_rng(seed), 12, 0.35), data / f"{name}.tsv")
     rc = main(["reproduce", "4", "--data", str(data), "--seeds", "1",
                "--config", tiny_cfg, "--out", str(tmp_path / "o")])
     assert rc == 0
@@ -171,7 +171,9 @@ def test_parse_config_rejects_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["nonsense = 1", "epochs = 1.5", "projection = flase",
-                                  "lr = fast", "epochs"])
+                                  "lr = fast", "epochs", "features = bogus",
+                                  "activation = relu", "train_fraction = 1.5", "heads = 0",
+                                  "feature_dim = 0", "val_fraction = 1.0"])
 def test_train_config_error_exit_code(toy_tsv, tmp_path, capsys, line):
     p = tmp_path / "bad.cfg"
     p.write_text(line + "\n")

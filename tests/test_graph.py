@@ -12,7 +12,7 @@ from wsgat.graph import (
     sample_negative_edges,
 )
 
-from conftest import toy_signed_graph
+from wsgat.verify import random_graph
 
 
 def test_load_single_tsv3_line(tmp_path):
@@ -88,7 +88,7 @@ def test_symmetrize_emits_both_arcs(tmp_path):
 
 
 def test_roundtrip_tsv3(tmp_path):
-    g = toy_signed_graph(n=12, seed=3)
+    g = random_graph(np.random.default_rng(3), 12, 0.4)
     out = tmp_path / "rt.tsv"
     save_edge_list(g, out)
     g2 = load_edge_list(out, "tsv3")
@@ -98,11 +98,13 @@ def test_roundtrip_tsv3(tmp_path):
     assert pairs == pairs2
 
 
-def test_csr_directions_consistent():
-    g = toy_signed_graph(n=8, seed=1)
-    out_edges = {(i, int(j), w) for i in range(8) for j, w in zip(*g.out_edges(i))}
-    in_edges = {(int(j), i, w) for i in range(8) for j, w in zip(*g.in_edges(i))}
-    assert out_edges == in_edges == set(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()))
+def test_in_edges_match_edge_list():
+    g = random_graph(np.random.default_rng(1), 8, 0.4)
+    for i in range(8):
+        srcs, ws = g.in_edges(i)
+        expected = sorted((s, w) for s, d, w in zip(g.src.tolist(), g.dst.tolist(),
+                                                    g.weight.tolist()) if d == i)
+        assert list(zip(srcs.tolist(), ws.tolist())) == expected
 
 
 @pytest.mark.parametrize("src,dst", [([-1, 0], [1, 2]), ([0, 1], [1, 3])])
@@ -131,7 +133,7 @@ def test_normalize_unit_abs():
 
 
 def test_normalize_preserves_sign_and_ratios():
-    g = toy_signed_graph(n=15, seed=7)
+    g = random_graph(np.random.default_rng(7), 15, 0.4)
     gn = normalize_weights(g, "signed_unit")
     assert np.array_equal(np.sign(gn.weight), np.sign(g.weight))
     ratio = g.weight[0] / g.weight[1]
@@ -140,7 +142,7 @@ def test_normalize_preserves_sign_and_ratios():
 
 
 def test_split_counts_and_disjointness():
-    g = toy_signed_graph(n=20, seed=2, p=0.3)
+    g = random_graph(np.random.default_rng(2), 20, 0.3)
     split = split_edges(g, 0.8, seed=5)
     n_train = int(np.floor(0.8 * g.num_edges))
     assert split.train_graph.num_edges == n_train
@@ -155,7 +157,7 @@ def test_split_counts_and_disjointness():
 
 
 def test_split_deterministic():
-    g = toy_signed_graph(n=15, seed=4)
+    g = random_graph(np.random.default_rng(4), 15, 0.4)
     s1 = split_edges(g, 0.8, seed=9)
     s2 = split_edges(g, 0.8, seed=9)
     assert np.array_equal(s1.test_pos, s2.test_pos)
@@ -165,7 +167,7 @@ def test_split_deterministic():
 
 def test_split_negatives_absent_from_original_edges():
     # brute-force membership oracle on a small graph
-    g = toy_signed_graph(n=6, seed=11, p=0.3)
+    g = random_graph(np.random.default_rng(11), 6, 0.3)
     split = split_edges(g, 0.8, seed=1)
     edges = set(zip(g.src.tolist(), g.dst.tolist()))
     for s, d in np.vstack([split.train_neg, split.test_neg]):
@@ -187,7 +189,7 @@ def test_negative_sampling_forced_outcome():
 
 
 def test_negative_sampling_zero_count():
-    g = toy_signed_graph(n=5, seed=0)
+    g = random_graph(np.random.default_rng(0), 5, 0.4)
     assert len(sample_negative_edges(g, 0, seed=0)) == 0
 
 
@@ -198,7 +200,7 @@ def test_negative_sampling_exhaustion():
 
 
 def test_negative_sampling_no_duplicates_and_deterministic():
-    g = toy_signed_graph(n=30, seed=5, p=0.1)
+    g = random_graph(np.random.default_rng(5), 30, 0.1)
     a = sample_negative_edges(g, 100, seed=42)
     b = sample_negative_edges(g, 100, seed=42)
     assert np.array_equal(a, b)

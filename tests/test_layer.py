@@ -6,9 +6,7 @@ from wsgat.autodiff import Tensor, Tape
 from wsgat.errors import ShapeError
 from wsgat.graph import SignedWeightedGraph
 from wsgat.layer import WsGatLayer, WsGatStack
-from wsgat.verify import dense_layer_reference
-
-from conftest import toy_signed_graph
+from wsgat.verify import dense_layer_reference, random_graph
 
 
 def make_layer(seed=0, in_width=4, out_width=3, **kw):
@@ -16,7 +14,7 @@ def make_layer(seed=0, in_width=4, out_width=3, **kw):
 
 
 def test_constant_mlp_gives_constant_logits():
-    g = toy_signed_graph(n=5, seed=0)
+    g = random_graph(np.random.default_rng(0), 5, 0.4)
     layer = make_layer(attention_hidden=())  # single linear layer + tanh
     layer.att[0].weights[0].values[:] = 0.0
     layer.att[0].biases[0].values[:] = 0.3
@@ -39,7 +37,7 @@ def test_logit_matches_hand_computation():
 
 
 def test_feature_width_mismatch_errors():
-    g = toy_signed_graph(n=4, seed=0)
+    g = random_graph(np.random.default_rng(0), 4, 0.4)
     layer = make_layer(in_width=4)
     with pytest.raises(ShapeError):
         layer.attention_logits(0, Tensor(np.zeros((4, 5))), g)
@@ -57,7 +55,7 @@ def test_attention_singleton_node_is_plus_minus_one():
 
 
 def test_all_positive_logits_reduce_to_standard_softmax():
-    g = toy_signed_graph(n=6, seed=2)
+    g = random_graph(np.random.default_rng(2), 6, 0.4)
     layer = make_layer(in_width=3)
     H = Tensor(np.random.default_rng(2).standard_normal((6, 3)))
     logits = layer.attention_logits(0, H, g)
@@ -85,7 +83,7 @@ def test_dense_oracle_equivalence(heads, merge):
     rng = np.random.default_rng(heads)
     for trial in range(5):
         n = int(rng.integers(3, 9))
-        g = toy_signed_graph(n=n, seed=trial + 17, p=0.4)
+        g = random_graph(np.random.default_rng(trial + 17), n, 0.4)
         layer = make_layer(seed=trial, heads=heads, head_merge=merge)
         H = rng.standard_normal((n, 4))
         sparse = layer.forward(Tensor(H), g).values
@@ -107,7 +105,7 @@ def test_edge_ablation_changes_only_reachable_rows():
 
 def test_permutation_equivariance_exact():
     rng = np.random.default_rng(9)
-    g = toy_signed_graph(n=7, seed=6)
+    g = random_graph(np.random.default_rng(6), 7, 0.4)
     layer = make_layer(in_width=3, seed=2)
     H = rng.standard_normal((7, 3))
     perm = rng.permutation(7)
@@ -120,7 +118,7 @@ def test_permutation_equivariance_exact():
 
 def test_permuting_node_ids_permutes_logits():
     rng = np.random.default_rng(12)
-    g = toy_signed_graph(n=5, seed=8)
+    g = random_graph(np.random.default_rng(8), 5, 0.4)
     layer = make_layer(in_width=3, seed=3)
     H = rng.standard_normal((5, 3))
     perm = rng.permutation(5)
@@ -151,7 +149,7 @@ def test_sign_sensitivity_on_two_node_graph():
 def test_l1_normalization_per_node():
     for trial in range(10):
         n = 4 + trial % 5
-        g = toy_signed_graph(n=n, seed=trial, p=0.5)
+        g = random_graph(np.random.default_rng(trial), n, 0.5)
         layer = make_layer(seed=trial)
         H = Tensor(np.random.default_rng(trial).standard_normal((n, 4)))
         logits = layer.attention_logits(0, H, g)
@@ -165,13 +163,13 @@ def test_l1_normalization_per_node():
 
 class TestStack:
     def test_zero_layers_returns_input(self):
-        g = toy_signed_graph(n=4, seed=0)
+        g = random_graph(np.random.default_rng(0), 4, 0.4)
         stack = WsGatStack(Tape(seed=0), 3, num_layers=0)
         X = Tensor(np.random.default_rng(0).standard_normal((4, 3)))
         assert stack.forward(X, g) is X
 
     def test_two_layer_stack_composes(self):
-        g = toy_signed_graph(n=8, seed=1)
+        g = random_graph(np.random.default_rng(1), 8, 0.4)
         stack = WsGatStack(Tape(seed=1), 3, hidden_width=4, out_width=2, num_layers=2)
         X = Tensor(np.random.default_rng(1).standard_normal((8, 3)))
         full = stack.forward(X, g).values
@@ -180,7 +178,7 @@ class TestStack:
         assert np.array_equal(full, h.values)
 
     def test_head_merge_widths(self):
-        g = toy_signed_graph(n=5, seed=2)
+        g = random_graph(np.random.default_rng(2), 5, 0.4)
         stack = WsGatStack(Tape(seed=2), 3, hidden_width=4, out_width=2,
                            num_layers=2, heads=3)
         X = Tensor(np.random.default_rng(2).standard_normal((5, 3)))

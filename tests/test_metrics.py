@@ -25,6 +25,11 @@ def test_auc_single_class_undefined():
         roc_auc([0.1, 0.2], [1, 1])
 
 
+def test_auc_nan_score_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        roc_auc([0.1, np.nan, 0.3], [1, 0, 1])
+
+
 def test_auc_matches_bruteforce_on_1000_instances():
     rng = np.random.default_rng(0)
     for _ in range(1000):

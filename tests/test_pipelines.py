@@ -4,15 +4,9 @@ import pytest
 from wsgat.errors import DegenerateTaskError
 from wsgat.graph import SignedWeightedGraph, normalize_weights, split_edges
 from wsgat.metrics import roc_auc
-from wsgat.pipelines import (
-    TrainConfig,
-    evaluate,
-    train_sign_prediction,
-    train_weight_prediction,
-    train_signed_weight_prediction,
-)
+from wsgat.pipelines import TrainConfig, _val_slice, evaluate, train
 
-from conftest import toy_signed_graph
+from wsgat.verify import random_graph
 
 
 def tiny_config(**kw):
@@ -26,20 +20,32 @@ def tiny_config(**kw):
 def test_sign_task_rejects_single_sign_graph():
     g = SignedWeightedGraph.from_edges(3, [0, 1], [1, 2], [1.0, 2.0])
     with pytest.raises(DegenerateTaskError):
-        train_sign_prediction(g, tiny_config())
+        train("sign", g, tiny_config())
 
 
 def test_signed_weight_task_rejects_all_positive_graph():
     g = SignedWeightedGraph.from_edges(3, [0, 1], [1, 2], [1.0, 2.0])
     with pytest.raises(DegenerateTaskError):
-        train_signed_weight_prediction(g, tiny_config())
+        train("signed-weight", g, tiny_config())
+
+
+def test_unknown_task_rejected():
+    g = SignedWeightedGraph.from_edges(3, [0, 1], [1, 2], [1.0, -2.0])
+    with pytest.raises(ValueError, match="unknown task"):
+        train("bogus", g, tiny_config())
+
+
+def test_val_slice_without_validation_monitors_train():
+    train_idx, val_idx = _val_slice(10, 0.0, np.random.default_rng(0))
+    assert sorted(train_idx) == list(range(10))
+    assert np.array_equal(val_idx, train_idx)
 
 
 def test_sign_overfit_on_balanced_toy():
     # overfit sanity oracle: training AUC on the fitted model's own edges
-    g = toy_signed_graph(n=14, seed=21, p=0.35)
+    g = random_graph(np.random.default_rng(21), 14, 0.35)
     cfg = tiny_config(features="sse", sse_dim=8, epochs=200, patience=200, val_fraction=0.0, seed=3)
-    model, report = train_sign_prediction(g, cfg)
+    model, report = train("sign", g, cfg)
     tg = model.graph
     pairs = np.column_stack([tg.src, tg.dst])
     labels = (tg.weight > 0).astype(int)
@@ -59,7 +65,7 @@ def test_weight_regression_to_constant():
                 src.append(i)
                 dst.append(j)
     g = SignedWeightedGraph.from_edges(12, src, dst, [0.7] * len(src))
-    model, report = train_weight_prediction(g, tiny_config(epochs=150, patience=150, val_fraction=0.0))
+    model, report = train("weight", g, tiny_config(epochs=150, patience=150, val_fraction=0.0))
     tg = model.graph
     pairs = np.column_stack([tg.src, tg.dst])
     pred = model.weight_values(model.embeddings(), pairs).values
@@ -69,9 +75,9 @@ def test_weight_regression_to_constant():
 
 
 def test_signed_weight_sign_consistency_on_toy():
-    g = toy_signed_graph(n=14, seed=5, p=0.35)
+    g = random_graph(np.random.default_rng(5), 14, 0.35)
     cfg = tiny_config(epochs=250, patience=250, lambda_weight=4.0, val_fraction=0.0, seed=2)
-    model, _ = train_signed_weight_prediction(g, cfg)
+    model, _ = train("signed-weight", g, cfg)
     tg = model.graph
     pairs = np.column_stack([tg.src, tg.dst])
     pred = model.weight_values(model.embeddings(), pairs).values
@@ -80,10 +86,10 @@ def test_signed_weight_sign_consistency_on_toy():
 
 
 def test_determinism_bitwise():
-    g = toy_signed_graph(n=12, seed=9, p=0.35)
+    g = random_graph(np.random.default_rng(9), 12, 0.35)
     cfg = tiny_config(epochs=20, seed=7)
-    _, r1 = train_signed_weight_prediction(g, cfg)
-    _, r2 = train_signed_weight_prediction(g, tiny_config(epochs=20, seed=7))
+    _, r1 = train("signed-weight", g, cfg)
+    _, r2 = train("signed-weight", g, tiny_config(epochs=20, seed=7))
     assert r1.roc_auc == r2.roc_auc
     assert r1.f1 == r2.f1
     assert r1.mae == r2.mae
@@ -91,13 +97,13 @@ def test_determinism_bitwise():
 
 
 def test_loss_monotonicity():
-    g = toy_signed_graph(n=12, seed=2, p=0.35)
-    _, report = train_weight_prediction(g, tiny_config(epochs=25, patience=25))
+    g = random_graph(np.random.default_rng(2), 12, 0.35)
+    _, report = train("weight", g, tiny_config(epochs=25, patience=25))
     assert report.history[19] < report.history[0]
 
 
 def test_training_batches_balanced():
-    g = toy_signed_graph(n=15, seed=3, p=0.3)
+    g = random_graph(np.random.default_rng(3), 15, 0.3)
     split = split_edges(normalize_weights(g, "unit_abs"), 0.8, seed=0)
     assert len(split.train_neg) == split.train_graph.num_edges
     assert len(split.test_neg) == len(split.test_pos)
@@ -105,8 +111,8 @@ def test_training_batches_balanced():
 
 def test_report_serialization_roundtrip():
     import json
-    g = toy_signed_graph(n=12, seed=9, p=0.35)
-    _, r = train_weight_prediction(g, tiny_config(epochs=5, patience=5))
+    g = random_graph(np.random.default_rng(9), 12, 0.35)
+    _, r = train("weight", g, tiny_config(epochs=5, patience=5))
     rec = json.loads(r.to_json_line())
     assert rec["task"] == "weight"
     assert 0.0 <= rec["auc"] <= 1.0
@@ -148,7 +154,7 @@ class StubModel:
 
 
 def make_split():
-    g = toy_signed_graph(n=10, seed=4, p=0.4)
+    g = random_graph(np.random.default_rng(4), 10, 0.4)
     return split_edges(normalize_weights(g, "unit_abs"), 0.8, seed=1)
 
 

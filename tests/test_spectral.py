@@ -5,7 +5,7 @@ from wsgat.errors import ConvergenceError
 from wsgat.graph import SignedWeightedGraph
 from wsgat.spectral import signed_spectral_embedding, fallback_features, _signed_adjacency
 
-from conftest import toy_signed_graph
+from wsgat.verify import random_graph
 
 
 def test_two_node_positive_edge():
@@ -26,7 +26,7 @@ def test_two_node_negative_edge():
 
 
 def test_matches_dense_eigendecomposition():
-    g = toy_signed_graph(n=12, seed=5, p=0.4)
+    g = random_graph(np.random.default_rng(5), 12, 0.4)
     X, lam = signed_spectral_embedding(g, d=4, seed=1)
     S = _signed_adjacency(g).toarray()
     evals, vecs = np.linalg.eigh(S)
@@ -38,13 +38,13 @@ def test_matches_dense_eigendecomposition():
 
 
 def test_orthonormal_columns():
-    g = toy_signed_graph(n=15, seed=2)
+    g = random_graph(np.random.default_rng(2), 15, 0.4)
     X, _ = signed_spectral_embedding(g, d=5, seed=3)
     assert np.max(np.abs(X.T @ X - np.eye(5))) < 1e-8
 
 
 def test_eigen_residual():
-    g = toy_signed_graph(n=14, seed=9)
+    g = random_graph(np.random.default_rng(9), 14, 0.4)
     X, lam = signed_spectral_embedding(g, d=4, seed=2)
     S = _signed_adjacency(g)
     for c in range(4):
@@ -53,7 +53,7 @@ def test_eigen_residual():
 
 
 def test_sign_flip_negates_spectrum():
-    g = toy_signed_graph(n=10, seed=4)
+    g = random_graph(np.random.default_rng(4), 10, 0.4)
     g_neg = SignedWeightedGraph.from_edges(g.num_nodes, g.src.copy(), g.dst.copy(), -g.weight)
     _, lam = signed_spectral_embedding(g, d=3, seed=1)
     _, lam_neg = signed_spectral_embedding(g_neg, d=3, seed=1)
@@ -62,21 +62,21 @@ def test_sign_flip_negates_spectrum():
 
 
 def test_deterministic_given_seed():
-    g = toy_signed_graph(n=10, seed=6)
+    g = random_graph(np.random.default_rng(6), 10, 0.4)
     X1, _ = signed_spectral_embedding(g, d=3, seed=7)
     X2, _ = signed_spectral_embedding(g, d=3, seed=7)
     assert np.array_equal(X1, X2)
 
 
 def test_nonconvergence_raises():
-    g = toy_signed_graph(n=12, seed=1)
+    g = random_graph(np.random.default_rng(1), 12, 0.4)
     with pytest.raises(ConvergenceError) as e:
         signed_spectral_embedding(g, d=4, seed=0, iters=1, tol=1e-15)
     assert e.value.residual is not None
 
 
 def test_d_larger_than_n_rejected():
-    g = toy_signed_graph(n=5, seed=0)
+    g = random_graph(np.random.default_rng(0), 5, 0.4)
     with pytest.raises(ValueError):
         signed_spectral_embedding(g, d=6)
 
@@ -101,7 +101,7 @@ class TestFallbackFeatures:
         assert X[0, 3] == pytest.approx(0.5)   # sum of outgoing weights
 
     def test_random_normal_reproducible(self):
-        g = toy_signed_graph(n=6, seed=3)
+        g = random_graph(np.random.default_rng(3), 6, 0.4)
         a = fallback_features(g, "random_normal", d=4, seed=11)
         b = fallback_features(g, "random_normal", d=4, seed=11)
         assert np.array_equal(a, b)
