@@ -1,8 +1,9 @@
 """Minimal dense reverse-mode autodiff: a Tensor with a recorded backward graph.
 
-64-bit floats throughout. Every op validates its output for NaN/Inf and
-raises NumericFault on violation. Broadcasting is limited to scalar-tensor
-and row-vector cases; anything else must go through an explicit op.
+64-bit floats throughout. Every op checks its output, and backward() each
+gradient, for NaN/Inf (NumericFault). After backward() only leaf tensors keep
+.grad, which is never written in place. Broadcasting is limited to
+scalar-tensor and row-vector cases; anything else must go through an explicit op.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ class Tensor:
         return self.values.shape
 
     def accumulate_grad(self, g):
-        g = np.broadcast_to(g, self.values.shape) if np.shape(g) != self.values.shape else g
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad = self.grad + g
+        # g may alias an upstream gradient or a view of it, so a .grad is
+        # never written in place: + makes a new array
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self):
         self.grad = None
@@ -365,17 +364,17 @@ def topo_order(output):
 
 
 def backward(output):
-    """Reverse-mode sweep from a scalar output; populates .grad on the graph."""
+    """Reverse-mode sweep from a scalar output; only leaf tensors keep .grad."""
     if output.values.size != 1:
         raise ShapeError("backward requires a scalar output")
-    order = topo_order(output)
     output.accumulate_grad(np.ones_like(output.values))
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None and node.requires_grad:
-            node._backward(node.grad, node)
-    for node in order:
+    # reverse topological order reaches a node once its gradient is complete
+    for node in reversed(topo_order(output)):
         if node.grad is not None:
             _check_finite(node.grad, f"gradient of {node.op or 'tensor'}")
+            if node.parents:
+                node._backward(node.grad, node)
+                node.grad = None
 
 
 class Tape:

@@ -46,13 +46,6 @@ EXIT_CODES = {
     SamplingExhaustedError: 6,
 }
 
-DATASET_FORMATS = {
-    "bitcoin-alpha": "csv4",
-    "bitcoin-otc": "csv4",
-    "advogato": "tsv3",
-    "epinions": "tsv3",
-}
-
 # key -> type of its TrainConfig default; the seed comes from --seed
 CONFIG_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)
                if f.name != "seed"}
@@ -86,7 +79,7 @@ def parse_config(path=None):
 
 
 def cmd_ingest(args):
-    fmt = args.format or DATASET_FORMATS.get(os.path.basename(args.source).split(".")[0], "tsv3")
+    fmt = args.format or ("csv4" if args.source.endswith(".csv") else "tsv3")
     g = load_edge_list(args.source, fmt=fmt, symmetrize=args.symmetrize)
     os.makedirs(args.out, exist_ok=True)
     name = args.name or os.path.splitext(os.path.basename(args.source))[0]
@@ -182,7 +175,8 @@ def build_parser():
 
     pi = sub.add_parser("ingest", help="parse a raw edge list into canonical tsv3")
     pi.add_argument("source", help="raw edge list file")
-    pi.add_argument("--format", choices=["tsv3", "csv4"], default=None)
+    pi.add_argument("--format", choices=["tsv3", "csv4"], default=None,
+                    help="default: csv4 for a .csv file, else tsv3")
     pi.add_argument("--name", default=None, help="output dataset name")
     pi.add_argument("--symmetrize", action="store_true", help="emit both arcs per input line")
     pi.add_argument("--out", default="data")

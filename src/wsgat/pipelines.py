@@ -233,14 +233,13 @@ def _train_loop(model, loss_fn, batches, config):
     best_params = model.parameter_arrays()
     bad_epochs = 0
     history = []
-    epochs_run = 0
-    for epoch in range(config.epochs):
+    for _ in range(config.epochs):
         model.tape.reset()
         loss = loss_fn(model.embeddings(), train_batch)
         model.tape.backward(loss)
         opt.step()
         history.append(float(loss.values))
-        epochs_run = epoch + 1
+        del loss  # the graph behind it must not live through the next forwards
         val = float(loss_fn(model.embeddings(), val_batch).values)
         if val < best_val - 1e-12:
             best_val = val
@@ -251,7 +250,7 @@ def _train_loop(model, loss_fn, batches, config):
             if bad_epochs >= config.patience:
                 break
     model.load_parameter_arrays(best_params)
-    return epochs_run, history
+    return len(history), history
 
 
 def _check_hygiene(split):
@@ -303,6 +302,15 @@ def train(task, g, config, dataset="unknown"):
     """Train one task on ``g`` and score it on its held-out split: (model, report)."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
+    # range checks for the keys that are not checked where they are used
+    lows = {"layers": 0, "lambda_weight": 0, **dict.fromkeys(
+        ("hidden", "embed", "attention_hidden", "head_hidden", "head_layers", "epochs",
+         "patience", "sse_dim"), 1)}
+    for key, low in lows.items():
+        if not getattr(config, key) >= low:
+            raise ConfigError(f"{key} must be >= {low}, got {getattr(config, key)}")
+    if not config.lr > 0:
+        raise ConfigError(f"lr must be > 0, got {config.lr}")
     t0 = time.time()
     if task == "sign" and not (np.any(g.weight > 0) and np.any(g.weight < 0)):
         raise DegenerateTaskError("sign prediction needs both positive and negative edges")

@@ -130,6 +130,26 @@ def test_constant_graph_zero_grads():
     assert x.grad is None  # not part of the graph
 
 
+def test_non_finite_gradient_raises_numeric_fault():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+
+    def backward(g, out):
+        x.accumulate_grad(np.full(x.shape, np.inf))
+
+    y = Tensor(x.values.copy(), parents=(x,), backward=backward, op="inf_grad")
+    with pytest.raises(NumericFault, match="gradient of"):
+        ad.backward(ad.sum_(y))
+
+
+def test_backward_keeps_grad_on_leaves_only():
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    hidden = ad.tanh(x)
+    loss = ad.sum_(ad.mul(hidden, hidden))
+    ad.backward(loss)
+    assert hidden.grad is None and loss.grad is None
+    assert np.allclose(x.grad, 2.0 * np.tanh(x.values) * (1.0 - np.tanh(x.values) ** 2))
+
+
 def test_tape_double_backward_errors():
     tape = Tape(seed=0)
     w = tape.parameter("w", [2.0])

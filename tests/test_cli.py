@@ -58,6 +58,17 @@ def test_ingest_parse_error_exit_code(tmp_path, capsys):
     assert "bad.tsv:1" in capsys.readouterr().err
 
 
+def test_ingest_picks_csv4_for_a_csv_file(tmp_path, capsys):
+    # the SNAP file name of bitcoin-alpha, with its header line, and no --format
+    p = tmp_path / "soc-sign-bitcoinalpha.csv"
+    p.write_text("SOURCE,TARGET,RATING,TIME\n7188,1,10,1407470400\n430,1,-3,1376539200\n"
+                 "3134,1,10,1369713600\n")
+    out = tmp_path / "data"
+    assert main(["ingest", str(p), "--name", "bitcoin-alpha", "--out", str(out)]) == 0
+    assert "3 edges" in capsys.readouterr().out
+    assert (out / "bitcoin-alpha.tsv").exists()
+
+
 def test_train_writes_checkpoint_and_reports(toy_tsv, tiny_cfg, tmp_path, capsys):
     out = tmp_path / "runs"
     rc = main(["train", "signed-weight", toy_tsv, "--config", tiny_cfg,
@@ -173,7 +184,11 @@ def test_parse_config_rejects_unknown_key(tmp_path):
 @pytest.mark.parametrize("line", ["nonsense = 1", "epochs = 1.5", "projection = flase",
                                   "lr = fast", "epochs", "features = bogus",
                                   "activation = relu", "train_fraction = 1.5", "heads = 0",
-                                  "feature_dim = 0", "val_fraction = 1.0"])
+                                  "feature_dim = 0", "val_fraction = 1.0", "head_hidden = 0",
+                                  "epochs = 0", "hidden = 0", "embed = 0",
+                                  "attention_hidden = 0", "head_layers = 0", "patience = 0",
+                                  "lr = -1", "lr = 0", "lr = nan", "layers = -1",
+                                  "lambda_weight = -1", "sse_dim = 0"])
 def test_train_config_error_exit_code(toy_tsv, tmp_path, capsys, line):
     p = tmp_path / "bad.cfg"
     p.write_text(line + "\n")

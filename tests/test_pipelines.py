@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from wsgat import pipelines
 from wsgat.errors import DegenerateTaskError
 from wsgat.graph import SignedWeightedGraph, normalize_weights, split_edges
 from wsgat.metrics import roc_auc
@@ -39,6 +42,24 @@ def test_val_slice_without_validation_monitors_train():
     train_idx, val_idx = _val_slice(10, 0.0, np.random.default_rng(0))
     assert sorted(train_idx) == list(range(10))
     assert np.array_equal(val_idx, train_idx)
+
+
+@pytest.mark.parametrize("task", ["sign", "weight", "signed-weight"])
+def test_each_loss_graph_is_freed_before_the_next_forward(monkeypatch, task):
+    train_loop, losses = pipelines._train_loop, []
+
+    def watched_train_loop(model, loss_fn, batches, config):
+        def watched_loss_fn(emb, batch):
+            assert all(ref() is None for ref in losses), "an earlier loss is still alive"
+            loss = loss_fn(emb, batch)
+            losses.append(weakref.ref(loss))
+            return loss
+
+        return train_loop(model, watched_loss_fn, batches, config)
+
+    monkeypatch.setattr(pipelines, "_train_loop", watched_train_loop)
+    train(task, random_graph(np.random.default_rng(4), 12, 0.35), tiny_config(epochs=3))
+    assert len(losses) == 6  # a train and a validation loss per epoch
 
 
 def test_sign_overfit_on_balanced_toy():
