@@ -4,11 +4,17 @@
 gradient, for NaN/Inf (NumericFault). After backward() only leaf tensors keep
 .grad, which is never written in place. Broadcasting is limited to
 scalar-tensor and row-vector cases; anything else must go through an explicit op.
+
+Row scatters (segment_sum forward, take_rows backward) are one sparse
+incidence-matrix product. It sums each row's contributions in index order,
+starting from zero, so it gives the same bits as numpy.add.at. Their row indices
+must lie in [0, n); anything else raises ShapeError.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericFault, ShapeError
 
@@ -248,17 +254,37 @@ def squeeze_col(a):
     return Tensor(a.values[:, 0], parents=(a,), backward=backward, op="squeeze_col")
 
 
+def _row_index(idx, n, op):
+    """idx as int64, after checking that every entry is a row of an n-row array."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ShapeError(f"{op}: index out of range [0, {n}): min {idx.min()}, max {idx.max()}")
+    return idx
+
+
+def _scatter_add(values, idx, n):
+    """Row i of the result is the sum of values[k] over k with idx[k] == i.
+
+    The product with the n x len(idx) incidence (a 1 at (idx[k], k)), stored
+    by column, visits k in ascending order and adds 1.0 * values[k] into a
+    zeroed row: the same bits as numpy.add.at into zeros. scipy does not check
+    the row indices of a column-stored matrix, so idx must come through
+    _row_index first.
+    """
+    m = len(idx)
+    incidence = sp.csc_matrix((np.ones(m), idx, np.arange(m + 1)), shape=(n, m))
+    return incidence @ values
+
+
 def take_rows(a, idx):
     """Gather rows; backward scatter-adds the gradient."""
     a = _as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = _row_index(idx, a.shape[0], "take_rows")
     out_values = a.values[idx]
 
     def backward(g, out):
         if a.requires_grad:
-            acc = np.zeros_like(a.values)
-            np.add.at(acc, idx, g)
-            a.accumulate_grad(acc)
+            a.accumulate_grad(_scatter_add(g, idx, a.shape[0]))
 
     return Tensor(out_values, parents=(a,), backward=backward, op="take_rows")
 
@@ -282,9 +308,10 @@ def scale_rows(a, s):
 def segment_sum(a, segments, num_segments):
     """Sum rows of `a` into their segment; backward gathers."""
     a = _as_tensor(a)
-    segments = np.asarray(segments, dtype=np.int64)
-    out_values = np.zeros((num_segments,) + a.shape[1:], dtype=np.float64)
-    np.add.at(out_values, segments, a.values)
+    segments = _row_index(segments, num_segments, "segment_sum")
+    if len(segments) != a.shape[0]:
+        raise ShapeError(f"segment_sum: {len(segments)} segment ids for {a.shape[0]} rows")
+    out_values = _scatter_add(a.values, segments, num_segments)
 
     def backward(g, out):
         if a.requires_grad:

@@ -37,17 +37,24 @@ def save_arrays(path, arrays):
 
 
 def load_arrays(path):
+    """name -> writable float64 array; ValueError for a foreign or truncated file."""
     with open(path, "rb") as f:
-        if f.read(5) != MAGIC:
+        def read(n):
+            data = f.read(n)
+            if len(data) != n:
+                raise ValueError(f"{path}: truncated checkpoint")
+            return data
+
+        if read(len(MAGIC)) != MAGIC:
             raise ValueError(f"{path}: not a wsgat checkpoint")
-        (count,) = struct.unpack("<I", f.read(4))
+        (count,) = struct.unpack("<I", read(4))
         out = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(ndim))
+            (name_len,) = struct.unpack("<I", read(4))
+            name = read(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<I", read(4))
+            shape = tuple(struct.unpack("<Q", read(8))[0] for _ in range(ndim))
             n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(shape)
+            data = np.frombuffer(read(8 * n), dtype="<f8").reshape(shape)
             out[name] = np.array(data)  # writable copy
         return out

@@ -2,6 +2,7 @@
 
 Exit codes:
     0  success
+    1  standard output closed by its reader (e.g. piped into `head`)
     2  parse / input / config error
     3  degenerate task or undefined metric (e.g. sign prediction on an
        all-positive graph, or a test split with one sign only)
@@ -208,7 +209,15 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe must raise here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the Python-docs idiom: later flushes go to devnull, so the final one
+        # at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except tuple(EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         for klass, code in EXIT_CODES.items():

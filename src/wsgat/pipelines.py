@@ -173,8 +173,21 @@ class TaskModel:
         return {k: v.values.copy() for k, v in self.tape.params.items()}
 
     def load_parameter_arrays(self, arrays):
+        """Set every parameter from ``arrays`` (name -> array).
+
+        Raises ValueError for a missing name or a shape that differs from the
+        model's; every name is checked first, so a failed load changes nothing.
+        """
+        loaded = {}
         for k, v in self.tape.params.items():
-            v.values = np.array(arrays[k], dtype=np.float64)
+            if k not in arrays:
+                raise ValueError(f"parameter {k!r} is missing")
+            loaded[k] = np.array(arrays[k], dtype=np.float64)
+            if loaded[k].shape != v.shape:
+                raise ValueError(f"parameter {k!r} has shape {loaded[k].shape}, "
+                                 f"the model expects {v.shape}")
+        for k, v in self.tape.params.items():
+            v.values = loaded[k]
 
 
 def softplus(t):
@@ -302,7 +315,11 @@ def train(task, g, config, dataset="unknown"):
     """Train one task on ``g`` and score it on its held-out split: (model, report)."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    # range checks for the keys that are not checked where they are used
+    # range checks for the keys that are not checked where they are used;
+    # inf passes a lower bound, so the float keys must also be finite
+    for key in ("lr", "lambda_weight", "self_loop_weight"):
+        if not np.isfinite(getattr(config, key)):
+            raise ConfigError(f"{key} must be finite, got {getattr(config, key)}")
     lows = {"layers": 0, "lambda_weight": 0, **dict.fromkeys(
         ("hidden", "embed", "attention_hidden", "head_hidden", "head_layers", "epochs",
          "patience", "sse_dim"), 1)}

@@ -34,6 +34,7 @@ ORACLE_PROPERTIES = [
     "permutation_equivariance",
     "sign_sensitivity",
     "spectral_dense_equivalence",
+    "scatter_add_bitwise",
 ]
 
 
@@ -118,6 +119,14 @@ def dense_layer_reference(layer, H, g):
     else:
         merged = np.mean(outs, axis=0)
     return layer.f(Tensor(merged)).values
+
+
+def scatter_add_oracle(values, idx, n):
+    """np.add.at reference for the row scatters: values[k] summed into row idx[k] of n."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros((n,) + values.shape[1:])
+    np.add.at(out, np.asarray(idx, dtype=np.int64), values)
+    return out
 
 
 def auc_pairwise_oracle(scores, labels):
@@ -302,6 +311,21 @@ def _suite_oracle():
     angle = np.linalg.norm(X @ X.T - ref @ ref.T, 2)
     if angle > 1e-6:
         failures.append(("spectral", "spectral_dense_equivalence", float(angle)))
+
+    # segment_sum and the take_rows gradient give the np.add.at bits
+    rng = np.random.default_rng(41)
+    for trial in range(20):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(0, 30))
+        idx = rng.integers(0, n, m)
+        values = rng.standard_normal((m, 3))
+        values[rng.random((m, 3)) < 0.2] = -0.0
+        ref = scatter_add_oracle(values, idx, n).tobytes()
+        a = Tensor(rng.standard_normal((n, 3)), requires_grad=True)
+        # d/da sum(a[idx] * values) scatters values itself
+        ad.backward(ad.sum_(ad.mul(ad.take_rows(a, idx), values)))
+        if (ad.segment_sum(Tensor(values), idx, n).values.tobytes() != ref
+                or a.grad.tobytes() != ref):
+            failures.append(("autodiff", "scatter_add_bitwise", trial))
     return failures
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import wsgat.autodiff as ad
 from wsgat.autodiff import Tensor, Tape, Adam
 from wsgat.errors import NumericFault, ShapeError
+from wsgat.verify import scatter_add_oracle
 
 
 def fd_grad(f, x, h=1e-5):
@@ -148,6 +150,43 @@ def test_backward_keeps_grad_on_leaves_only():
     ad.backward(loss)
     assert hidden.grad is None and loss.grad is None
     assert np.allclose(x.grad, 2.0 * np.tanh(x.values) * (1.0 - np.tanh(x.values) ** 2))
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_scatter_ops_reject_out_of_range_rows(bad):
+    a = Tensor(np.ones((3, 2)), requires_grad=True)
+    with pytest.raises(ShapeError, match="take_rows: index out of range"):
+        ad.take_rows(a, [0, bad])
+    with pytest.raises(ShapeError, match="segment_sum: index out of range"):
+        ad.segment_sum(a, [0, bad, 1], 3)
+
+
+def test_segment_sum_needs_one_segment_id_per_row():
+    with pytest.raises(ShapeError, match="2 segment ids for 3 rows"):
+        ad.segment_sum(Tensor(np.ones((3, 2))), [0, 1], 3)
+
+
+@given(st.data(), st.integers(min_value=1, max_value=6), st.sampled_from([None, 1, 3]))
+@settings(max_examples=200, deadline=None)
+def test_scatters_give_the_add_at_oracle_bits(data, n, width):
+    """Repeated and never-hit rows, empty idx, 1-d values and signed zeros,
+    with the take_rows gradient arriving as a non-contiguous concat slice."""
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=12)), dtype=np.int64)
+    shape = (len(idx),) if width is None else (len(idx), width)
+    values = data.draw(hnp.arrays(np.float64, shape,
+                                  elements=st.floats(-4, 4) | st.sampled_from([0.0, -0.0])))
+    ref = scatter_add_oracle(values, idx, n)
+    assert ad.segment_sum(Tensor(values), idx, n).values.tobytes() == ref.tobytes()
+
+    a = Tensor(np.ones((n,) + shape[1:]), requires_grad=True)
+    rows = ad.take_rows(a, idx)
+    # concat hands take_rows its slice of the upstream gradient, which is
+    # `values` itself (times the exact 1.0 from the sum)
+    extra = np.ones((len(idx),) if width is None else (len(idx), 2))
+    axis = 0 if width is None else 1
+    upstream = np.concatenate([values, extra], axis=axis)
+    ad.backward(ad.sum_(ad.mul(ad.concat([rows, Tensor(extra)], axis=axis), upstream)))
+    assert a.grad.shape == ref.shape and a.grad.tobytes() == ref.tobytes()
 
 
 def test_tape_double_backward_errors():

@@ -1,4 +1,7 @@
+import re
+
 import numpy as np
+import pytest
 
 from wsgat.checkpoint import save_arrays, load_arrays, MAGIC
 
@@ -39,3 +42,15 @@ def test_deterministic_bytes(tmp_path):
     save_arrays(p1, arrays)
     save_arrays(p2, dict(reversed(list(arrays.items()))))
     assert p1.read_bytes() == p2.read_bytes()  # sorted by name
+
+
+def test_truncated_file_raises_value_error_naming_the_path(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_arrays(p, {"layer.w0": np.ones((2, 3)), "layer.b0": np.zeros(3)})
+    blob = p.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    # inside the magic, count, a name length, a name, ndim, dims and data
+    for offset in (0, 3, 7, 11, 15, 20, 30, 50, len(blob) - 1):
+        cut.write_bytes(blob[:offset])
+        with pytest.raises(ValueError, match=re.escape(f"{cut}: truncated")):
+            load_arrays(cut)

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wsgat
 from wsgat.cli import main, parse_config
 from wsgat.graph import save_edge_list
 from wsgat.pipelines import TrainConfig
@@ -82,6 +86,29 @@ def test_train_writes_checkpoint_and_reports(toy_tsv, tiny_cfg, tmp_path, capsys
     csv_lines = (out / "reports.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "task,dataset,seed,auc,f1,mae"
     assert len(csv_lines) == 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_train_with_closed_stdout_exits_1_without_traceback(toy_tsv, tiny_cfg, tmp_path,
+                                                            unbuffered):
+    # buffered, the closed pipe fails at the final flush; unbuffered, at the print
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = str(Path(wsgat.__file__).parents[1])
+    out = tmp_path / "runs"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wsgat.cli", "train", "signed-weight", toy_tsv,
+             "--config", tiny_cfg, "--seed", "1", "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert (out / "toy_signed-weight_seed1.ckpt").exists()
 
 
 def test_train_deterministic_reports(toy_tsv, tiny_cfg, tmp_path):
@@ -188,7 +215,9 @@ def test_parse_config_rejects_unknown_key(tmp_path):
                                   "epochs = 0", "hidden = 0", "embed = 0",
                                   "attention_hidden = 0", "head_layers = 0", "patience = 0",
                                   "lr = -1", "lr = 0", "lr = nan", "layers = -1",
-                                  "lambda_weight = -1", "sse_dim = 0"])
+                                  "lambda_weight = -1", "sse_dim = 0",
+                                  "self_loop_weight = nan", "self_loop_weight = inf",
+                                  "lambda_weight = inf", "lr = inf"])
 def test_train_config_error_exit_code(toy_tsv, tmp_path, capsys, line):
     p = tmp_path / "bad.cfg"
     p.write_text(line + "\n")

@@ -7,7 +7,7 @@ from wsgat import pipelines
 from wsgat.errors import DegenerateTaskError
 from wsgat.graph import SignedWeightedGraph, normalize_weights, split_edges
 from wsgat.metrics import roc_auc
-from wsgat.pipelines import TrainConfig, _val_slice, evaluate, train
+from wsgat.pipelines import TaskModel, TrainConfig, _val_slice, evaluate, train
 
 from wsgat.verify import random_graph
 
@@ -115,6 +115,31 @@ def test_determinism_bitwise():
     assert r1.f1 == r2.f1
     assert r1.mae == r2.mae
     assert r1.config_digest == r2.config_digest
+
+
+def test_failed_parameter_load_names_the_parameter_and_changes_nothing():
+    model = TaskModel("sign", random_graph(np.random.default_rng(9), 12, 0.35), tiny_config())
+    before = model.parameter_arrays()
+    names = list(model.tape.params)  # insertion order: a name late in it
+    shifted = {k: v + 1.0 for k, v in before.items()}
+
+    dropped = dict(shifted)
+    del dropped[names[-1]]
+    with pytest.raises(ValueError, match=f"parameter '{names[-1]}' is missing"):
+        model.load_parameter_arrays(dropped)
+
+    name = next(k for k in reversed(names) if before[k].ndim == 2
+                and before[k].shape[0] != before[k].shape[1])
+    transposed = dict(shifted, **{name: shifted[name].T})
+    rows, cols = before[name].shape
+    with pytest.raises(ValueError, match=rf"'{name}' has shape \({cols}, {rows}\), "
+                                         rf"the model expects \({rows}, {cols}\)"):
+        model.load_parameter_arrays(transposed)
+
+    after = model.parameter_arrays()
+    assert all(np.array_equal(after[k], before[k]) for k in before)
+    model.load_parameter_arrays(shifted)
+    assert all(np.array_equal(model.tape.params[k].values, shifted[k]) for k in before)
 
 
 def test_loss_monotonicity():
