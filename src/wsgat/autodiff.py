@@ -48,22 +48,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
@@ -152,6 +136,18 @@ def _unary(a, fwd, deriv, op):
 
 def tanh(a):
     return _unary(a, np.tanh, lambda x, o: 1.0 - o * o, "tanh")
+
+
+def softplus(a):
+    # log(1 + e^x) without overflow. Not _unary: its g * sigmoid(x) rounds
+    # differently from g / (1 + e^-x), which would change every report's bits
+    out_values = np.logaddexp(0.0, a.values)
+
+    def backward(g, out):
+        if a.requires_grad:
+            a.accumulate_grad(g / (1.0 + np.exp(-a.values)))
+
+    return Tensor(out_values, parents=(a,), backward=backward, op="softplus")
 
 
 def sigmoid(a):

@@ -150,11 +150,12 @@ def cmd_reproduce(args):
             xs = np.asarray(xs, dtype=float)
             return f"{np.nanmean(xs):.4f},{np.nanstd(xs):.4f}"
         rows.append(f"{ds},{ms(aucs)},{ms(f1s)},{ms(maes)}")
-        print(rows[-1])
+    # written before anything is printed, so a closed stdout cannot lose the table
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"table{args.table}.csv")
     with open(out_path, "w", encoding="utf-8") as f:
         f.write("\n".join(rows) + "\n")
+    print("\n".join(rows[1:]))
     print(f"wrote {out_path}")
     return 0
 

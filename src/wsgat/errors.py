@@ -42,7 +42,11 @@ class NumericFault(WsgatError):
 
 
 class ConvergenceError(WsgatError):
-    """Iterative solver did not reach tolerance within its iteration budget."""
+    """Iterative solver did not reach tolerance within its iteration budget.
+
+    residual is the largest relative residual left, inf when the solver does
+    not report one (ARPACK returns only the converged pairs).
+    """
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -190,19 +190,9 @@ class TaskModel:
             v.values = loaded[k]
 
 
-def softplus(t):
-    out_values = np.logaddexp(0.0, t.values)
-
-    def backward(g, out):
-        if t.requires_grad:
-            t.accumulate_grad(g / (1.0 + np.exp(-t.values)))
-
-    return Tensor(out_values, parents=(t,), backward=backward, op="softplus")
-
-
 def bce_with_logits(logits, labels):
     """mean(softplus(z) - z*y), the stable binary cross-entropy."""
-    return ad.mean_(ad.sub(softplus(logits), ad.mul(logits, labels)))
+    return ad.mean_(ad.sub(ad.softplus(logits), ad.mul(logits, labels)))
 
 
 def mse(pred, target):

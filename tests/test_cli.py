@@ -34,6 +34,16 @@ def tiny_cfg(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def table4_data(tmp_path):
+    # stand-in files named like the table-4 datasets
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, seed in (("bitcoin-alpha", 1), ("bitcoin-otc", 2)):
+        save_edge_list(random_graph(np.random.default_rng(seed), 12, 0.35), data / f"{name}.tsv")
+    return data
+
+
 def test_ingest_stats_line(toy_tsv, tmp_path, capsys):
     out = tmp_path / "data"
     assert main(["ingest", toy_tsv, "--format", "tsv3", "--out", str(out)]) == 0
@@ -88,27 +98,44 @@ def test_train_writes_checkpoint_and_reports(toy_tsv, tiny_cfg, tmp_path, capsys
     assert len(csv_lines) == 2
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_train_with_closed_stdout_exits_1_without_traceback(toy_tsv, tiny_cfg, tmp_path,
-                                                            unbuffered):
-    # buffered, the closed pipe fails at the final flush; unbuffered, at the print
+def _run_with_closed_stdout(argv, unbuffered):
+    """Run the CLI in a subprocess whose stdout reader is gone before the first write."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = str(Path(wsgat.__file__).parents[1])
-    out = tmp_path / "runs"
     read_end, write_end = os.pipe()
-    os.close(read_end)  # the reader is gone before the first write
+    os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "wsgat.cli", "train", "signed-weight", toy_tsv,
-             "--config", tiny_cfg, "--seed", "1", "--out", str(out)],
-            stdout=write_end, stderr=subprocess.PIPE, timeout=120, env=env)
+        return subprocess.run([sys.executable, "-m", "wsgat.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=120, env=env)
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_train_with_closed_stdout_exits_1_without_traceback(toy_tsv, tiny_cfg, tmp_path,
+                                                            unbuffered):
+    # buffered, the closed pipe fails at the final flush; unbuffered, at the print
+    out = tmp_path / "runs"
+    proc = _run_with_closed_stdout(["train", "signed-weight", toy_tsv, "--config", tiny_cfg,
+                                    "--seed", "1", "--out", str(out)], unbuffered)
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr
     assert (out / "toy_signed-weight_seed1.ckpt").exists()
+
+
+def test_reproduce_with_closed_stdout_writes_the_whole_table(table4_data, tiny_cfg, tmp_path):
+    # unbuffered, the first print fails at once: every dataset must be trained
+    # and the table written before it
+    out = tmp_path / "o"
+    proc = _run_with_closed_stdout(["reproduce", "4", "--data", str(table4_data), "--seeds",
+                                    "1", "--config", tiny_cfg, "--out", str(out)],
+                                   unbuffered=True)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    rows = (out / "table4.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["bitcoin-alpha", "bitcoin-otc"]
 
 
 def test_train_deterministic_reports(toy_tsv, tiny_cfg, tmp_path):
@@ -136,13 +163,8 @@ def test_reproduce_missing_dataset_message(tmp_path, capsys):
     assert "bitcoin-alpha.tsv" in err and "bitcoin-otc.tsv" in err
 
 
-def test_reproduce_on_toy_datasets(tmp_path, tiny_cfg, capsys):
-    # stand-in files named like the table-4 datasets
-    data = tmp_path / "data"
-    data.mkdir()
-    for name, seed in (("bitcoin-alpha", 1), ("bitcoin-otc", 2)):
-        save_edge_list(random_graph(np.random.default_rng(seed), 12, 0.35), data / f"{name}.tsv")
-    rc = main(["reproduce", "4", "--data", str(data), "--seeds", "1",
+def test_reproduce_on_toy_datasets(table4_data, tmp_path, tiny_cfg, capsys):
+    rc = main(["reproduce", "4", "--data", str(table4_data), "--seeds", "1",
                "--config", tiny_cfg, "--out", str(tmp_path / "o")])
     assert rc == 0
     lines = (tmp_path / "o" / "table4.csv").read_text().strip().splitlines()

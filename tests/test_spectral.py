@@ -25,8 +25,10 @@ def test_two_node_negative_edge():
     assert np.sign(X[0, 0]) != np.sign(X[1, 0])
 
 
-def test_matches_dense_eigendecomposition():
-    g = random_graph(np.random.default_rng(5), 12, 0.4)
+# 8 nodes take the dense path (d + 4 >= n); at 40 nodes Lanczos restarts
+@pytest.mark.parametrize("n", [8, 40], ids=["dense", "lanczos"])
+def test_matches_dense_eigendecomposition(n):
+    g = random_graph(np.random.default_rng(5), n, 0.4)
     X, lam = signed_spectral_embedding(g, d=4, seed=1)
     S = _signed_adjacency(g).toarray()
     evals, vecs = np.linalg.eigh(S)
@@ -35,6 +37,19 @@ def test_matches_dense_eigendecomposition():
     # subspace angle via difference of orthogonal projectors
     ref = vecs[:, order]
     assert np.linalg.norm(X @ X.T - ref @ ref.T, 2) < 1e-6
+
+
+def test_plus_minus_pair_orders_positive_first():
+    # a bipartite graph's spectrum is symmetric: every lambda has a -lambda
+    rng = np.random.default_rng(3)
+    src, dst = np.nonzero(rng.random((20, 20)) < 0.3)
+    w = rng.choice([-1.0, 1.0], len(src))
+    g = SignedWeightedGraph.from_edges(40, src, dst + 20, w)
+    X, lam = signed_spectral_embedding(g, d=4, seed=0)
+    assert lam[0] > 0 and lam[2] > 0
+    assert lam[1] == pytest.approx(-lam[0], rel=1e-10)
+    assert lam[3] == pytest.approx(-lam[2], rel=1e-10)
+    assert lam[0] > lam[2]
 
 
 def test_orthonormal_columns():
@@ -69,8 +84,9 @@ def test_deterministic_given_seed():
 
 
 def test_nonconvergence_raises():
-    g = random_graph(np.random.default_rng(1), 12, 0.4)
-    with pytest.raises(ConvergenceError) as e:
+    # at 40 nodes one restart does not span the whole graph, as it would at 12
+    g = random_graph(np.random.default_rng(1), 40, 0.4)
+    with pytest.raises(ConvergenceError, match=r"of 8 eigenpairs converged") as e:
         signed_spectral_embedding(g, d=4, seed=0, iters=1, tol=1e-15)
     assert e.value.residual is not None
 
