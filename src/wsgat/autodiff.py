@@ -2,8 +2,14 @@
 
 64-bit floats throughout. Every op checks its output, and backward() each
 gradient, for NaN/Inf (NumericFault). After backward() only leaf tensors keep
-.grad, which is never written in place. Broadcasting is limited to
-scalar-tensor and row-vector cases; anything else must go through an explicit op.
+.grad, which is never written in place.
+
+Every op builds its output through one constructor, _node(values, op, *grads),
+each grad a (parent, g -> gradient) pair; _node holds the only backward
+closure. add, sub and mul broadcast in exactly three cases: identical shapes,
+a scalar on either side, or an (n, k) matrix on the left plus a (k,) row on
+the right (the bias, whose gradient is the column sums of g). Any other pairing
+raises ShapeError.
 
 Row scatters (segment_sum forward, take_rows backward) are one sparse
 incidence-matrix product. It sums each row's contributions in index order,
@@ -56,82 +62,64 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _node(values, op, *grads):
+    """The output Tensor of `op`. grads are (parent, fn) pairs, fn mapping the
+    output's gradient to the parent's; backward accumulates fn(g) into each
+    parent that requires a gradient, in the order given."""
+
+    def backward(g, out):
+        for parent, fn in grads:
+            if parent.requires_grad:
+                parent.accumulate_grad(fn(g))
+
+    return Tensor(values, parents=tuple(p for p, _ in grads), backward=backward, op=op)
+
+
 def _unbroadcast(g, shape):
-    """Sum g down to `shape` (inverse of numpy broadcasting)."""
+    """Sum g over its leading axes down to `shape`: a scalar, or the bias row."""
     g = np.asarray(g)
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
     return g.reshape(shape)
 
 
-def _broadcast_ok(a_shape, b_shape):
-    # scalar-tensor, identical shapes, or row-vector against a matrix
-    if a_shape == b_shape or a_shape == () or b_shape == ():
-        return True
-    if len(a_shape) == 2 and len(b_shape) == 2:
-        if (a_shape[0] == 1 or b_shape[0] == 1) and a_shape[1] == b_shape[1]:
-            return True
-    if len(a_shape) == 2 and len(b_shape) == 1 and a_shape[1] == b_shape[0]:
-        return True
-    if len(b_shape) == 2 and len(a_shape) == 1 and b_shape[1] == a_shape[0]:
-        return True
-    return False
-
-
 def _binary(a, b, fwd, da, db, op):
+    """Elementwise op in the three broadcast cases of the module docstring;
+    da(g, b.values) and db(g, a.values) are the gradients before _unbroadcast."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if not _broadcast_ok(a.shape, b.shape):
+    if not (a.shape == b.shape or a.shape == () or b.shape == ()
+            or (a.values.ndim == 2 and b.shape == a.shape[1:])):
         raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-    out_values = fwd(a.values, b.values)
-
-    def backward(g, out):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(da(g, a.values, b.values, out.values), a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(db(g, a.values, b.values, out.values), b.shape))
-
-    return Tensor(out_values, parents=(a, b), backward=backward, op=op)
+    return _node(fwd(a.values, b.values), op,
+                 (a, lambda g: _unbroadcast(da(g, b.values), a.shape)),
+                 (b, lambda g: _unbroadcast(db(g, a.values), b.shape)))
 
 
 def add(a, b):
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y, o: g, lambda g, x, y, o: g, "add")
+    return _binary(a, b, lambda x, y: x + y, lambda g, y: g, lambda g, x: g, "add")
 
 
 def sub(a, b):
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y, o: g, lambda g, x, y, o: -g, "sub")
+    return _binary(a, b, lambda x, y: x - y, lambda g, y: g, lambda g, x: -g, "sub")
 
 
 def mul(a, b):
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y, o: g * y, lambda g, x, y, o: g * x, "mul")
+    return _binary(a, b, lambda x, y: x * y, lambda g, y: g * y, lambda g, x: g * x, "mul")
 
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out_values = a.values @ b.values
-
-    def backward(g, out):
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.values.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.values.T @ g)
-
-    return Tensor(out_values, parents=(a, b), backward=backward, op="matmul")
+    return _node(a.values @ b.values, "matmul",
+                 (a, lambda g: g @ b.values.T), (b, lambda g: a.values.T @ g))
 
 
 def _unary(a, fwd, deriv, op):
+    """Elementwise op; deriv(x, o) is d out / d x, given the output o."""
     a = _as_tensor(a)
-    out_values = fwd(a.values)
-
-    def backward(g, out):
-        if a.requires_grad:
-            a.accumulate_grad(g * deriv(a.values, out.values))
-
-    return Tensor(out_values, parents=(a,), backward=backward, op=op)
+    out = fwd(a.values)
+    return _node(out, op, (a, lambda g: g * deriv(a.values, out)))
 
 
 def tanh(a):
@@ -141,13 +129,9 @@ def tanh(a):
 def softplus(a):
     # log(1 + e^x) without overflow. Not _unary: its g * sigmoid(x) rounds
     # differently from g / (1 + e^-x), which would change every report's bits
-    out_values = np.logaddexp(0.0, a.values)
-
-    def backward(g, out):
-        if a.requires_grad:
-            a.accumulate_grad(g / (1.0 + np.exp(-a.values)))
-
-    return Tensor(out_values, parents=(a,), backward=backward, op="softplus")
+    a = _as_tensor(a)
+    return _node(np.logaddexp(0.0, a.values), "softplus",
+                 (a, lambda g: g / (1.0 + np.exp(-a.values))))
 
 
 def sigmoid(a):
@@ -195,23 +179,12 @@ def exp(a):
 
 def sum_(a):
     a = _as_tensor(a)
-
-    def backward(g, out):
-        if a.requires_grad:
-            a.accumulate_grad(np.full(a.shape, float(g)))
-
-    return Tensor(a.values.sum(), parents=(a,), backward=backward, op="sum")
+    return _node(a.values.sum(), "sum", (a, lambda g: np.full(a.shape, float(g))))
 
 
 def mean_(a):
     a = _as_tensor(a)
-    n = a.values.size
-
-    def backward(g, out):
-        if a.requires_grad:
-            a.accumulate_grad(np.full(a.shape, float(g) / n))
-
-    return Tensor(a.values.mean(), parents=(a,), backward=backward, op="mean")
+    return _node(a.values.mean(), "mean", (a, lambda g: np.full(a.shape, float(g) / a.values.size)))
 
 
 def concat(parts, axis=0):
@@ -219,20 +192,14 @@ def concat(parts, axis=0):
     if not parts:
         raise ShapeError("concat of zero tensors")
     try:
-        out_values = np.concatenate([p.values for p in parts], axis=axis)
+        out = np.concatenate([p.values for p in parts], axis=axis)
     except ValueError as e:
         raise ShapeError(f"concat: {e}") from None
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g, out):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                p.accumulate_grad(g[tuple(sl)])
-
-    return Tensor(out_values, parents=tuple(parts), backward=backward, op="concat")
+    # each part's gradient is its slice of g along `axis`
+    lead = (slice(None),) * (axis % out.ndim)
+    bounds = np.cumsum([0] + [p.shape[axis] for p in parts])
+    return _node(out, "concat", *[(p, lambda g, sl=lead + (slice(lo, hi),): g[sl])
+                                  for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])])
 
 
 def squeeze_col(a):
@@ -242,12 +209,7 @@ def squeeze_col(a):
         return a
     if a.values.ndim != 2 or a.shape[1] != 1:
         raise ShapeError(f"squeeze_col: expected a column, got {a.shape}")
-
-    def backward(g, out):
-        if a.requires_grad:
-            a.accumulate_grad(g[:, None])
-
-    return Tensor(a.values[:, 0], parents=(a,), backward=backward, op="squeeze_col")
+    return _node(a.values[:, 0], "squeeze_col", (a, lambda g: g[:, None]))
 
 
 def _row_index(idx, n, op):
@@ -276,13 +238,7 @@ def take_rows(a, idx):
     """Gather rows; backward scatter-adds the gradient."""
     a = _as_tensor(a)
     idx = _row_index(idx, a.shape[0], "take_rows")
-    out_values = a.values[idx]
-
-    def backward(g, out):
-        if a.requires_grad:
-            a.accumulate_grad(_scatter_add(g, idx, a.shape[0]))
-
-    return Tensor(out_values, parents=(a,), backward=backward, op="take_rows")
+    return _node(a.values[idx], "take_rows", (a, lambda g: _scatter_add(g, idx, a.shape[0])))
 
 
 def scale_rows(a, s):
@@ -290,15 +246,8 @@ def scale_rows(a, s):
     a, s = _as_tensor(a), _as_tensor(s)
     if a.values.ndim != 2 or s.values.ndim != 1 or a.shape[0] != s.shape[0]:
         raise ShapeError(f"scale_rows: shapes {a.shape} and {s.shape}")
-    out_values = a.values * s.values[:, None]
-
-    def backward(g, out):
-        if a.requires_grad:
-            a.accumulate_grad(g * s.values[:, None])
-        if s.requires_grad:
-            s.accumulate_grad((g * a.values).sum(axis=1))
-
-    return Tensor(out_values, parents=(a, s), backward=backward, op="scale_rows")
+    return _node(a.values * s.values[:, None], "scale_rows",
+                 (a, lambda g: g * s.values[:, None]), (s, lambda g: (g * a.values).sum(axis=1)))
 
 
 def segment_sum(a, segments, num_segments):
@@ -307,13 +256,8 @@ def segment_sum(a, segments, num_segments):
     segments = _row_index(segments, num_segments, "segment_sum")
     if len(segments) != a.shape[0]:
         raise ShapeError(f"segment_sum: {len(segments)} segment ids for {a.shape[0]} rows")
-    out_values = _scatter_add(a.values, segments, num_segments)
-
-    def backward(g, out):
-        if a.requires_grad:
-            a.accumulate_grad(g[segments])
-
-    return Tensor(out_values, parents=(a,), backward=backward, op="segment_sum")
+    return _node(_scatter_add(a.values, segments, num_segments), "segment_sum",
+                 (a, lambda g: g[segments]))
 
 
 def segment_signed_softmax(logits, segments, num_segments):
@@ -326,7 +270,7 @@ def segment_signed_softmax(logits, segments, num_segments):
     logits = _as_tensor(logits)
     if logits.values.ndim != 1:
         raise ShapeError("segment_signed_softmax expects a 1-d logits tensor")
-    segments = np.asarray(segments, dtype=np.int64)
+    segments = _row_index(segments, num_segments, "segment_signed_softmax")
     if len(segments) != len(logits.values):
         raise ShapeError("one segment id per logit required")
     e = logits.values
@@ -338,16 +282,14 @@ def segment_signed_softmax(logits, segments, num_segments):
     denom = np.zeros(num_segments)
     np.add.at(denom, segments, shifted)
     p = shifted / denom[segments]
-    alpha = s * p
 
-    def backward(g, out):
-        if logits.requires_grad:
-            u = g * s * p
-            seg_u = np.zeros(num_segments)
-            np.add.at(seg_u, segments, u)
-            logits.accumulate_grad(s * (u - p * seg_u[segments]))
+    def dlogits(g):
+        u = g * s * p
+        seg_u = np.zeros(num_segments)
+        np.add.at(seg_u, segments, u)
+        return s * (u - p * seg_u[segments])
 
-    return Tensor(alpha, parents=(logits,), backward=backward, op="segment_signed_softmax")
+    return _node(s * p, "segment_signed_softmax", (logits, dlogits))
 
 
 def log_softmax_rows(a):
@@ -357,15 +299,9 @@ def log_softmax_rows(a):
         raise ShapeError("log_softmax_rows expects a matrix")
     m = a.values.max(axis=1, keepdims=True)
     z = a.values - m
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out_values = z - lse
-
-    def backward(g, out):
-        if a.requires_grad:
-            p = np.exp(out.values)
-            a.accumulate_grad(g - p * g.sum(axis=1, keepdims=True))
-
-    return Tensor(out_values, parents=(a,), backward=backward, op="log_softmax_rows")
+    out = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return _node(out, "log_softmax_rows",
+                 (a, lambda g: g - np.exp(out) * g.sum(axis=1, keepdims=True)))
 
 
 def topo_order(output):

@@ -9,6 +9,7 @@ Layout (all integers little-endian):
         ndim     : uint32
         dims     : ndim * uint64
         data     : prod(dims) * float64, little-endian, C order
+    nothing after the last array
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ def save_arrays(path, arrays):
 
 
 def load_arrays(path):
-    """name -> writable float64 array; ValueError for a foreign or truncated file."""
+    """name -> writable float64 array; ValueError for a foreign or truncated
+    file, or one with bytes after its last array."""
     with open(path, "rb") as f:
         def read(n):
             data = f.read(n)
@@ -57,4 +59,6 @@ def load_arrays(path):
             n = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(read(8 * n), dtype="<f8").reshape(shape)
             out[name] = np.array(data)  # writable copy
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last array")
         return out

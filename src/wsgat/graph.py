@@ -71,7 +71,8 @@ def load_edge_list(path, fmt="tsv3", symmetrize=False):
     """Parse an edge list file into a SignedWeightedGraph.
 
     tsv3: "src<TAB>dst<TAB>weight" with '#' comment lines.
-    csv4: "SOURCE,TARGET,RATING,TIME" (header optional, TIME ignored).
+    csv4: "SOURCE,TARGET,RATING,TIME" (TIME ignored). An optional header is
+    the first line that is neither blank nor a '#' comment.
 
     Duplicate (src, dst) pairs keep the last occurrence; self-loops are dropped.
     With ``symmetrize`` both arcs are emitted for every input line (undirected
@@ -83,11 +84,13 @@ def load_edge_list(path, fmt="tsv3", symmetrize=False):
         raise FileNotFoundError(path)
 
     raw = []  # (src_label, dst_label, weight) in file order
+    first_record = True
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            is_first, first_record = first_record, False
             if fmt == "tsv3":
                 parts = line.split("\t")
                 if len(parts) == 1:
@@ -100,7 +103,7 @@ def load_edge_list(path, fmt="tsv3", symmetrize=False):
                 if len(parts) < 3:
                     raise GraphParseError(path, lineno, f"expected >=3 comma fields, got {len(parts)}")
                 s, d, w = parts[0], parts[1], parts[2]
-                if lineno == 1 and not _is_number(w):
+                if is_first and not _is_number(w):
                     continue  # header row
             try:
                 wv = float(w)

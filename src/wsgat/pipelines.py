@@ -175,9 +175,13 @@ class TaskModel:
     def load_parameter_arrays(self, arrays):
         """Set every parameter from ``arrays`` (name -> array).
 
-        Raises ValueError for a missing name or a shape that differs from the
-        model's; every name is checked first, so a failed load changes nothing.
+        Raises ValueError for a missing or unexpected name or a shape that
+        differs from the model's; every name is checked first, so a failed load
+        changes nothing.
         """
+        for k in arrays:
+            if k not in self.tape.params:
+                raise ValueError(f"parameter {k!r} is not in the model")
         loaded = {}
         for k, v in self.tape.params.items():
             if k not in arrays:

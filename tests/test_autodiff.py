@@ -132,6 +132,70 @@ def test_constant_graph_zero_grads():
     assert x.grad is None  # not part of the graph
 
 
+# each op with two inputs: (op, shape of the first input, shape of the second)
+TWO_INPUT_OPS = {
+    "add": (ad.add, (3, 4), (3, 4)),
+    "sub": (ad.sub, (3, 4), (3, 4)),
+    "mul": (ad.mul, (3, 4), (3, 4)),
+    "matmul": (ad.matmul, (3, 4), (4, 2)),
+    "scale_rows": (ad.scale_rows, (3, 4), (3,)),
+    "concat": (lambda x, y: ad.concat([x, y], axis=1), (3, 4), (3, 2)),
+}
+
+
+@pytest.mark.parametrize("constant", [0, 1])
+@pytest.mark.parametrize("name", list(TWO_INPUT_OPS))
+def test_constant_input_gets_no_gradient(name, constant):
+    op, *shapes = TWO_INPUT_OPS[name]
+    rng = np.random.default_rng(4)
+    values = [rng.standard_normal(shape) for shape in shapes]
+    inputs = [Tensor(v, requires_grad=i != constant) for i, v in enumerate(values)]
+    coeff = rng.standard_normal(op(*inputs).shape)
+
+    def loss(xs):
+        return ad.sum_(ad.mul(op(*xs), coeff))
+
+    ad.backward(loss(inputs))
+    assert inputs[constant].grad is None
+    variable = 1 - constant
+    ref = fd_grad(lambda: float(loss([Tensor(v) for v in values]).values), values[variable])
+    assert np.allclose(inputs[variable].grad, ref, rtol=1e-6, atol=1e-8)
+
+
+BINARY_SHAPES = [
+    ((3, 4), (3, 4), True), ((4,), (4,), True), ((), (), True),
+    ((), (3, 4), True), ((3, 4), (), True), ((), (4,), True),
+    ((3, 4), (4,), True),  # the bias row
+    ((1, 4), (3, 4), False), ((3, 4), (1, 4), False), ((4,), (3, 4), False),
+    ((3, 4), (3,), False), ((3, 4), (3, 1), False), ((3,), (1,), False),
+    ((2, 3, 4), (4,), False),
+]
+
+
+@pytest.mark.parametrize("a_shape,b_shape,accepted", BINARY_SHAPES,
+                         ids=[f"{a}{b}".replace(" ", "") for a, b, _ in BINARY_SHAPES])
+def test_binary_broadcasts_only_identical_scalar_and_bias_shapes(a_shape, b_shape, accepted):
+    rng = np.random.default_rng(6)
+    a = Tensor(rng.standard_normal(a_shape), requires_grad=True)
+    b = Tensor(rng.standard_normal(b_shape), requires_grad=True)
+    if not accepted:
+        for op in (ad.add, ad.sub, ad.mul):
+            with pytest.raises(ShapeError, match="incompatible shapes"):
+                op(a, b)
+        return
+    out = ad.add(a, b)
+    g = rng.standard_normal(out.shape)
+    ad.backward(ad.sum_(ad.mul(out, g)))
+    for t in (a, b):
+        assert t.grad.shape == t.shape
+        if t.shape == out.shape:
+            assert np.array_equal(t.grad, g)
+        elif t.shape == ():
+            assert np.isclose(t.grad, g.sum())
+        else:
+            assert np.array_equal(t.grad, g.sum(axis=0))  # bias: column sums
+
+
 def test_non_finite_gradient_raises_numeric_fault():
     x = Tensor([1.0, 2.0], requires_grad=True)
 
@@ -159,6 +223,8 @@ def test_scatter_ops_reject_out_of_range_rows(bad):
         ad.take_rows(a, [0, bad])
     with pytest.raises(ShapeError, match="segment_sum: index out of range"):
         ad.segment_sum(a, [0, bad, 1], 3)
+    with pytest.raises(ShapeError, match="segment_signed_softmax: index out of range"):
+        ad.segment_signed_softmax(Tensor([1.0, 2.0]), [0, bad], 3)
 
 
 def test_segment_sum_needs_one_segment_id_per_row():

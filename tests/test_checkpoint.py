@@ -54,3 +54,11 @@ def test_truncated_file_raises_value_error_naming_the_path(tmp_path):
         cut.write_bytes(blob[:offset])
         with pytest.raises(ValueError, match=re.escape(f"{cut}: truncated")):
             load_arrays(cut)
+
+
+def test_trailing_bytes_raise_value_error_naming_the_path(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_arrays(p, {"layer.w0": np.ones((2, 3)), "layer.b0": np.zeros(3)})
+    p.write_bytes(p.read_bytes() + b"garbage")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: trailing bytes")):
+        load_arrays(p)

@@ -42,6 +42,17 @@ def test_load_csv4_with_header_and_time_column(tmp_path):
     assert set(g.weight.tolist()) == {4.0, -3.0}
 
 
+def test_csv4_header_may_follow_comments_but_not_a_record(tmp_path):
+    p = tmp_path / "h.csv"
+    p.write_text("# exported\n\nSOURCE,TARGET,RATING,TIME\n7,2,4,1289241911\n2,7,-3,1\n")
+    g = load_edge_list(p, "csv4")
+    assert g.num_edges == 2 and set(g.weight.tolist()) == {4.0, -3.0}
+    p.write_text("# exported\n7,2,4,1289241911\nSOURCE,TARGET,RATING,TIME\n")
+    with pytest.raises(GraphParseError, match="bad weight 'RATING'") as e:
+        load_edge_list(p, "csv4")
+    assert e.value.lineno == 3
+
+
 def test_duplicate_keeps_last(tmp_path):
     p = tmp_path / "g.tsv"
     p.write_text("1\t2\t3\n1\t2\t-5\n")

@@ -136,6 +136,13 @@ def test_failed_parameter_load_names_the_parameter_and_changes_nothing():
                                          rf"the model expects \({rows}, {cols}\)"):
         model.load_parameter_arrays(transposed)
 
+    # a two-layer model's arrays: the shared names have the same shapes, and
+    # the gnn1.* arrays must not be silently ignored
+    deeper = TaskModel("sign", random_graph(np.random.default_rng(9), 12, 0.35),
+                       tiny_config(layers=2)).parameter_arrays()
+    with pytest.raises(ValueError, match=r"parameter 'gnn1\.h0\.[\w.]+' is not in the model"):
+        model.load_parameter_arrays(deeper)
+
     after = model.parameter_arrays()
     assert all(np.array_equal(after[k], before[k]) for k in before)
     model.load_parameter_arrays(shifted)
