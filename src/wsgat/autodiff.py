@@ -279,14 +279,12 @@ def segment_signed_softmax(logits, segments, num_segments):
     seg_max = np.full(num_segments, -np.inf)
     np.maximum.at(seg_max, segments, m)
     shifted = np.exp(m - seg_max[segments])
-    denom = np.zeros(num_segments)
-    np.add.at(denom, segments, shifted)
+    denom = np.bincount(segments, shifted, num_segments)
     p = shifted / denom[segments]
 
     def dlogits(g):
         u = g * s * p
-        seg_u = np.zeros(num_segments)
-        np.add.at(seg_u, segments, u)
+        seg_u = np.bincount(segments, u, num_segments)
         return s * (u - p * seg_u[segments])
 
     return _node(s * p, "segment_signed_softmax", (logits, dlogits))

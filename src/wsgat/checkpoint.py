@@ -39,7 +39,7 @@ def save_arrays(path, arrays):
 
 def load_arrays(path):
     """name -> writable float64 array; ValueError for a foreign or truncated
-    file, or one with bytes after its last array."""
+    file, one that names an array twice, or one with bytes after its last array."""
     with open(path, "rb") as f:
         def read(n):
             data = f.read(n)
@@ -54,6 +54,8 @@ def load_arrays(path):
         for _ in range(count):
             (name_len,) = struct.unpack("<I", read(4))
             name = read(name_len).decode("utf-8")
+            if name in out:
+                raise ValueError(f"{path}: array {name!r} stored twice")
             (ndim,) = struct.unpack("<I", read(4))
             shape = tuple(struct.unpack("<Q", read(8))[0] for _ in range(ndim))
             n = int(np.prod(shape)) if shape else 1

@@ -3,7 +3,7 @@
 Exit codes:
     0  success
     1  standard output closed by its reader (e.g. piped into `head`)
-    2  parse / input / config error
+    2  parse / input / config error, or a file that cannot be opened or decoded
     3  degenerate task or undefined metric (e.g. sign prediction on an
        all-positive graph, or a test split with one sign only)
     4  convergence error
@@ -38,7 +38,7 @@ from .pipelines import TASKS, TrainConfig, train
 EXIT_CODES = {
     GraphParseError: 2,
     EmptyGraphError: 2,
-    FileNotFoundError: 2,
+    OSError: 2,  # a file that cannot be opened; main() takes BrokenPipeError first
     ConfigError: 2,
     DegenerateTaskError: 3,
     UndefinedMetricError: 3,
@@ -59,29 +59,32 @@ def parse_config(path=None):
     cfg = TrainConfig()
     if not path:
         return cfg
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            k, v = (part.strip() for part in line.split("=", 1))
-            if k not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {k!r} "
-                                  f"(known: {sorted(CONFIG_KEYS)})")
-            kind = CONFIG_KEYS[k]
-            try:
-                setattr(cfg, k, BOOL_WORDS[v.lower()] if kind is bool else kind(v))
-            except (KeyError, ValueError):
-                raise ConfigError(f"{path}:{lineno}: {k} expects {kind.__name__}, "
-                                  f"got {v!r}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        k, v = (part.strip() for part in line.split("=", 1))
+        if k not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {k!r} "
+                              f"(known: {sorted(CONFIG_KEYS)})")
+        kind = CONFIG_KEYS[k]
+        try:
+            setattr(cfg, k, BOOL_WORDS[v.lower()] if kind is bool else kind(v))
+        except (KeyError, ValueError):
+            raise ConfigError(f"{path}:{lineno}: {k} expects {kind.__name__}, "
+                              f"got {v!r}") from None
     return cfg
 
 
 def cmd_ingest(args):
-    fmt = args.format or ("csv4" if args.source.endswith(".csv") else "tsv3")
-    g = load_edge_list(args.source, fmt=fmt, symmetrize=args.symmetrize)
+    g = load_edge_list(args.source, fmt=args.format, symmetrize=args.symmetrize)
     os.makedirs(args.out, exist_ok=True)
     name = args.name or os.path.splitext(os.path.basename(args.source))[0]
     out_path = os.path.join(args.out, f"{name}.tsv")
@@ -94,8 +97,7 @@ def cmd_ingest(args):
 
 def cmd_train(args):
     g = load_edge_list(args.graph, fmt=args.format)
-    cfg = parse_config(args.config)
-    cfg.seed = args.seed
+    cfg = dataclasses.replace(parse_config(args.config), seed=args.seed)
     dataset = os.path.splitext(os.path.basename(args.graph))[0]
     model, report = train(args.task, g, cfg, dataset=dataset)
     os.makedirs(args.out, exist_ok=True)
@@ -118,38 +120,31 @@ def cmd_train(args):
     return 0
 
 
-TABLE_TASKS = {"2": "sign", "3": "weight", "4": "signed-weight"}
-TABLE_DATASETS = {
-    "2": ["bitcoin-alpha", "bitcoin-otc", "epinions"],
-    "3": ["advogato", "bitcoin-alpha", "bitcoin-otc"],
-    "4": ["bitcoin-alpha", "bitcoin-otc"],
+# paper table -> (task, datasets in row order)
+TABLES = {
+    "2": ("sign", ["bitcoin-alpha", "bitcoin-otc", "epinions"]),
+    "3": ("weight", ["advogato", "bitcoin-alpha", "bitcoin-otc"]),
+    "4": ("signed-weight", ["bitcoin-alpha", "bitcoin-otc"]),
 }
 
 
 def cmd_reproduce(args):
-    task = TABLE_TASKS[args.table]
-    datasets = TABLE_DATASETS[args.table]
-    missing = [d for d in datasets if not os.path.exists(os.path.join(args.data, f"{d}.tsv"))]
+    task, datasets = TABLES[args.table]
+    paths = [os.path.join(args.data, f"{ds}.tsv") for ds in datasets]
+    missing = [path for path in paths if not os.path.exists(path)]
     if missing:
-        expected = ", ".join(os.path.join(args.data, f"{d}.tsv") for d in missing)
-        print(f"missing ingested datasets; expected files: {expected}", file=sys.stderr)
+        print(f"missing ingested datasets; expected files: {', '.join(missing)}", file=sys.stderr)
         print("run `wsgat ingest <raw file> --out <data dir>` first", file=sys.stderr)
         return 2
+    cfg = parse_config(args.config)
     rows = ["dataset,auc_mean,auc_std,f1_mean,f1_std,mae_mean,mae_std"]
-    for ds in datasets:
-        g = load_edge_list(os.path.join(args.data, f"{ds}.tsv"), fmt="tsv3")
-        aucs, f1s, maes = [], [], []
-        for seed in range(args.seeds):
-            cfg = parse_config(args.config)
-            cfg.seed = seed
-            _, rep = train(task, g, cfg, dataset=ds)
-            aucs.append(rep.roc_auc)
-            f1s.append(rep.f1)
-            maes.append(rep.mae if rep.mae is not None else np.nan)
-        def ms(xs):
-            xs = np.asarray(xs, dtype=float)
-            return f"{np.nanmean(xs):.4f},{np.nanstd(xs):.4f}"
-        rows.append(f"{ds},{ms(aucs)},{ms(f1s)},{ms(maes)}")
+    for ds, path in zip(datasets, paths):
+        g = load_edge_list(path)
+        reports = [train(task, g, dataclasses.replace(cfg, seed=seed), dataset=ds)[1]
+                   for seed in range(args.seeds)]
+        columns = ([r.roc_auc for r in reports], [r.f1 for r in reports],
+                   [np.nan if r.mae is None else r.mae for r in reports])
+        rows.append(ds + "".join(f",{np.nanmean(c):.4f},{np.nanstd(c):.4f}" for c in columns))
     # written before anything is printed, so a closed stdout cannot lose the table
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"table{args.table}.csv")
@@ -170,6 +165,16 @@ def cmd_verify(args):
     return 0
 
 
+def _int_at_least(low):
+    """argparse type: an int >= low, else a usage error (exit 2)."""
+    def count(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return count
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="wsgat",
                                 description="Signed/weighted graph attention link prediction")
@@ -186,23 +191,24 @@ def build_parser():
 
     pt = sub.add_parser("train", help="train one task on one graph")
     pt.add_argument("task", choices=list(TASKS))
-    pt.add_argument("graph", help="canonical tsv3 graph file")
-    pt.add_argument("--format", choices=["tsv3", "csv4"], default="tsv3")
+    pt.add_argument("graph", help="graph file")
+    pt.add_argument("--format", choices=["tsv3", "csv4"], default=None,
+                    help="default: csv4 for a .csv file, else tsv3")
     pt.add_argument("--config", default=None, help="flat key = value config file")
-    pt.add_argument("--seed", type=int, default=0)
+    pt.add_argument("--seed", type=_int_at_least(0), default=0)
     pt.add_argument("--out", default="runs")
     pt.set_defaults(fn=cmd_train)
 
     pr = sub.add_parser("reproduce", help="mean/std over seeds per dataset, table layout")
-    pr.add_argument("table", choices=["2", "3", "4"])
+    pr.add_argument("table", choices=list(TABLES))
     pr.add_argument("--data", default="data", help="directory with ingested tsv files")
-    pr.add_argument("--seeds", type=int, default=5)
+    pr.add_argument("--seeds", type=_int_at_least(1), default=5)
     pr.add_argument("--config", default=None)
     pr.add_argument("--out", default="runs")
     pr.set_defaults(fn=cmd_reproduce)
 
     pv = sub.add_parser("verify", help="run built-in invariant suites")
-    pv.add_argument("suite", choices=["gradcheck", "oracle", "metrics"])
+    pv.add_argument("suite", choices=list(verify_mod.SUITES))
     pv.set_defaults(fn=cmd_verify)
     return p
 
@@ -221,10 +227,7 @@ def main(argv=None):
         return 1
     except tuple(EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        for klass, code in EXIT_CODES.items():
-            if isinstance(e, klass):
-                return code
-        return 1
+        return next(code for klass, code in EXIT_CODES.items() if isinstance(e, klass))
 
 
 if __name__ == "__main__":

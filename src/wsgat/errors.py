@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Each error class maps to a distinct CLI exit code (see cli.EXIT_CODES).
+cli.EXIT_CODES maps the classes a run can meet to exit codes, several to one
+(2 for bad input); ShapeError, a programming error, has no code of its own.
 """
 
 
@@ -13,10 +14,12 @@ class ConfigError(WsgatError, ValueError):
 
 
 class GraphParseError(WsgatError):
-    """Malformed edge-list input; carries path and line number."""
+    """Malformed edge-list input; carries path and line number (None when
+    the fault is not on one line, e.g. a file that is not UTF-8)."""
 
     def __init__(self, path, lineno, message):
-        super().__init__(f"{path}:{lineno}: {message}")
+        super().__init__(f"{path}: {message}" if lineno is None
+                         else f"{path}:{lineno}: {message}")
         self.path = path
         self.lineno = lineno
 

@@ -67,56 +67,60 @@ class SignedWeightedGraph:
         return self.src[idx], self.weight[idx]
 
 
-def load_edge_list(path, fmt="tsv3", symmetrize=False):
+def load_edge_list(path, fmt=None, symmetrize=False):
     """Parse an edge list file into a SignedWeightedGraph.
 
     tsv3: "src<TAB>dst<TAB>weight" with '#' comment lines.
     csv4: "SOURCE,TARGET,RATING,TIME" (TIME ignored). An optional header is
     the first line that is neither blank nor a '#' comment.
+    ``fmt=None`` reads a ``.csv`` file as csv4 and any other file as tsv3.
 
     Duplicate (src, dst) pairs keep the last occurrence; self-loops are dropped.
     With ``symmetrize`` both arcs are emitted for every input line (undirected
     inputs such as the advogato variant).
     """
+    if fmt is None:
+        fmt = "csv4" if os.fspath(path).endswith(".csv") else "tsv3"
     if fmt not in ("tsv3", "csv4"):
         raise ValueError(f"unknown format {fmt!r}")
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
 
     raw = []  # (src_label, dst_label, weight) in file order
     first_record = True
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            is_first, first_record = first_record, False
-            if fmt == "tsv3":
-                parts = line.split("\t")
-                if len(parts) == 1:
-                    parts = line.split()
-                if len(parts) != 3:
-                    raise GraphParseError(path, lineno, f"expected 3 fields, got {len(parts)}")
-                s, d, w = parts
-            else:
-                parts = line.split(",")
-                if len(parts) < 3:
-                    raise GraphParseError(path, lineno, f"expected >=3 comma fields, got {len(parts)}")
-                s, d, w = parts[0], parts[1], parts[2]
-                if is_first and not _is_number(w):
-                    continue  # header row
-            try:
-                wv = float(w)
-            except ValueError:
-                raise GraphParseError(path, lineno, f"bad weight {w!r}") from None
-            if not np.isfinite(wv):
-                raise GraphParseError(path, lineno, f"non-finite weight {w!r}")
-            if wv == 0.0:
-                raise GraphParseError(path, lineno, "zero weight (0 is reserved for non-existent links)")
-            s, d = s.strip(), d.strip()
-            raw.append((s, d, wv))
-            if symmetrize and s != d:
-                raw.append((d, s, wv))
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                is_first, first_record = first_record, False
+                if fmt == "tsv3":
+                    parts = line.split("\t")
+                    if len(parts) == 1:
+                        parts = line.split()
+                    if len(parts) != 3:
+                        raise GraphParseError(path, lineno, f"expected 3 fields, got {len(parts)}")
+                    s, d, w = parts
+                else:
+                    parts = line.split(",")
+                    if len(parts) < 3:
+                        raise GraphParseError(path, lineno, f"expected >=3 comma fields, got {len(parts)}")
+                    s, d, w = parts[0], parts[1], parts[2]
+                try:
+                    wv = float(w)
+                except ValueError:
+                    if is_first and fmt == "csv4":
+                        continue  # header row
+                    raise GraphParseError(path, lineno, f"bad weight {w!r}") from None
+                if not np.isfinite(wv):
+                    raise GraphParseError(path, lineno, f"non-finite weight {w!r}")
+                if wv == 0.0:
+                    raise GraphParseError(path, lineno, "zero weight (0 is reserved for non-existent links)")
+                s, d = s.strip(), d.strip()
+                raw.append((s, d, wv))
+                if symmetrize and s != d:
+                    raw.append((d, s, wv))
+    except UnicodeDecodeError as e:
+        raise GraphParseError(path, None, f"not UTF-8 text ({e.reason})") from None
 
     if not raw:
         raise EmptyGraphError(f"{path}: no edges parsed")
@@ -144,14 +148,6 @@ def _label_key(lab):
         return (0, float(lab), lab)
     except ValueError:
         return (1, 0.0, lab)
-
-
-def _is_number(s):
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
 
 
 def save_edge_list(g, path):

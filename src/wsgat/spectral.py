@@ -74,10 +74,8 @@ def fallback_features(g, kind="degree_onehot_log", d=8, seed=0):
         raise ConfigError(f"unknown feature kind {kind!r}")
     in_deg = np.bincount(g.dst, minlength=n).astype(float)
     out_deg = np.bincount(g.src, minlength=n).astype(float)
-    w_in = np.zeros(n)
-    np.add.at(w_in, g.dst, g.weight)
-    w_out = np.zeros(n)
-    np.add.at(w_out, g.src, g.weight)
+    w_in = np.bincount(g.dst, g.weight, n)
+    w_out = np.bincount(g.src, g.weight, n)
     base = np.column_stack([np.log1p(in_deg), np.log1p(out_deg), w_in, w_out])
     if d <= 4:
         return base[:, :d]

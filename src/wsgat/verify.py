@@ -371,11 +371,9 @@ def _suite_metrics():
     return failures
 
 
+SUITES = {"gradcheck": _suite_gradcheck, "oracle": _suite_oracle, "metrics": _suite_metrics}
+
+
 def run_suite(name):
-    if name == "gradcheck":
-        return _suite_gradcheck()
-    if name == "oracle":
-        return _suite_oracle()
-    if name == "metrics":
-        return _suite_metrics()
-    raise ValueError(f"unknown suite {name!r}")
+    """Failure triples of the named suite; KeyError for an unknown name."""
+    return SUITES[name]()

@@ -54,9 +54,7 @@ def benchmark_config(seed, features="degree_onehot_log"):
 
 
 def load_dataset(name):
-    path = require_dataset(name)
-    fmt = "csv4" if path.endswith(".csv") else "tsv3"
-    return load_edge_list(path, fmt=fmt)
+    return load_edge_list(require_dataset(name))
 
 
 def test_criterion_1_gradient_fidelity():
@@ -131,9 +129,7 @@ def test_criterion_5_weight_prediction():
     results = {}
     for name, auc_floor, mae_cap, symmetrize in (("advogato", 0.88, 0.16, True),
                                                  ("bitcoin-alpha", 0.89, 0.16, False)):
-        path = require_dataset(name)
-        fmt = "csv4" if path.endswith(".csv") else "tsv3"
-        g = load_edge_list(path, fmt=fmt, symmetrize=symmetrize)
+        g = load_edge_list(require_dataset(name), symmetrize=symmetrize)
         aucs, maes = [], []
         for seed in range(5):
             _, rep = train("weight", g, benchmark_config(seed), dataset=name)

@@ -293,6 +293,23 @@ class TestSegmentSignedSoftmax:
         out = ad.segment_signed_softmax(Tensor([1.0]), np.array([1]), 3)
         assert out.values.tolist() == [1.0]
 
+    def test_segment_sums_give_the_add_at_oracle_bits(self):
+        # the np.add.at form of the forward and backward, as a reference
+        rng = np.random.default_rng(5)
+        e = rng.choice([-1.0, 1.0], 40) * 10.0 ** rng.uniform(-5, 1, 40)
+        segs, coeff = rng.integers(0, 6, 40), rng.standard_normal(40)
+        s, m = np.sign(e), np.abs(e)
+        seg_max = np.full(6, -np.inf)
+        np.maximum.at(seg_max, segs, m)
+        shifted = np.exp(m - seg_max[segs])
+        p = shifted / scatter_add_oracle(shifted, segs, 6)[segs]
+        u = coeff * s * p
+        x = Tensor(e, requires_grad=True)
+        out = ad.segment_signed_softmax(x, segs, 6)
+        ad.backward(ad.sum_(ad.mul(out, Tensor(coeff))))
+        assert out.values.tobytes() == (s * p).tobytes()
+        assert x.grad.tobytes() == (s * (u - p * scatter_add_oracle(u, segs, 6)[segs])).tobytes()
+
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(8)
         e = Tensor(rng.uniform(0.2, 2.0, 7) * rng.choice([-1.0, 1.0], 7), requires_grad=True)

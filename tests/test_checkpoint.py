@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -61,4 +62,16 @@ def test_trailing_bytes_raise_value_error_naming_the_path(tmp_path):
     save_arrays(p, {"layer.w0": np.ones((2, 3)), "layer.b0": np.zeros(3)})
     p.write_bytes(p.read_bytes() + b"garbage")
     with pytest.raises(ValueError, match=re.escape(f"{p}: trailing bytes")):
+        load_arrays(p)
+
+
+def test_repeated_array_name_raises_value_error_naming_the_path(tmp_path):
+    # save_arrays cannot write this file: two records named "w", ones then zeros
+    def record(values):
+        return (struct.pack("<I", 1) + b"w" + struct.pack("<I", 1)
+                + struct.pack("<Q", len(values)) + np.asarray(values, "<f8").tobytes())
+
+    p = tmp_path / "twice.ckpt"
+    p.write_bytes(MAGIC + struct.pack("<I", 2) + record([1.0, 1.0]) + record([0.0, 0.0]))
+    with pytest.raises(ValueError, match=re.escape(f"{p}: array 'w' stored twice")):
         load_arrays(p)

@@ -83,6 +83,47 @@ def test_ingest_picks_csv4_for_a_csv_file(tmp_path, capsys):
     assert (out / "bitcoin-alpha.tsv").exists()
 
 
+def test_train_picks_csv4_for_a_csv_file(tmp_path, tiny_cfg, capsys):
+    # the same suffix rule as ingest: a SNAP-style file with a header, no --format
+    g = random_graph(np.random.default_rng(9), 12, 0.35)
+    p = tmp_path / "g.csv"
+    p.write_text("SOURCE,TARGET,RATING,TIME\n" + "".join(
+        f"{s},{d},{float(w)!r},0\n" for s, d, w in zip(g.src, g.dst, g.weight)))
+    out = tmp_path / "runs"
+    assert main(["train", "sign", str(p), "--config", tiny_cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("sign g seed=0: auc=")
+    assert (out / "g_sign_seed0.ckpt").exists()
+
+
+@pytest.mark.parametrize("graph", ["missing.tsv", "somedir.tsv", "bin.tsv"])
+def test_unreadable_graph_exits_2_with_one_line(tmp_path, tiny_cfg, capsys, graph):
+    (tmp_path / "somedir.tsv").mkdir()
+    (tmp_path / "bin.tsv").write_bytes(b"1\t2\t1.0\n\xff\xfe\t3\t-1.0\n")
+    path = str(tmp_path / graph)
+    assert main(["train", "sign", path, "--config", tiny_cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert path in err and "Traceback" not in err
+
+
+def test_config_that_is_not_utf8_exits_2_with_one_line(toy_tsv, tmp_path, capsys):
+    p = tmp_path / "bad.cfg"
+    p.write_bytes(b"epochs = 3\n# caf\xe9\n")
+    assert main(["train", "sign", toy_tsv, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: not UTF-8") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["train", "sign", "g.tsv", "--seed", "-1"],
+                                  ["reproduce", "4", "--seeds", "0"],
+                                  ["reproduce", "4", "--seeds", "-2"]])
+def test_out_of_range_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "must be >= " in capsys.readouterr().err
+
+
 def test_train_writes_checkpoint_and_reports(toy_tsv, tiny_cfg, tmp_path, capsys):
     out = tmp_path / "runs"
     rc = main(["train", "signed-weight", toy_tsv, "--config", tiny_cfg,

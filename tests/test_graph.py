@@ -53,6 +53,24 @@ def test_csv4_header_may_follow_comments_but_not_a_record(tmp_path):
     assert e.value.lineno == 3
 
 
+def test_format_defaults_to_csv4_for_a_csv_file_only(tmp_path):
+    csv = tmp_path / "g.csv"
+    csv.write_text("SOURCE,TARGET,RATING,TIME\n7,2,4,1289241911\n")
+    assert load_edge_list(csv).weight.tolist() == [4.0]
+    tsv = tmp_path / "g.tsv"
+    tsv.write_text("src\tdst\tweight\n7\t2\t4\n")
+    with pytest.raises(GraphParseError, match="bad weight 'weight'"):
+        load_edge_list(tsv)  # tsv3 has no header row
+
+
+def test_file_that_is_not_utf8_raises_graph_parse_error(tmp_path):
+    p = tmp_path / "bin.tsv"
+    p.write_bytes(b"1\t2\t1.0\n\xff\t3\t-1.0\n")
+    with pytest.raises(GraphParseError, match="not UTF-8 text") as e:
+        load_edge_list(p)
+    assert e.value.lineno is None and str(e.value).startswith(f"{p}: ")
+
+
 def test_duplicate_keeps_last(tmp_path):
     p = tmp_path / "g.tsv"
     p.write_text("1\t2\t3\n1\t2\t-5\n")

@@ -5,7 +5,7 @@ from wsgat.errors import ConvergenceError
 from wsgat.graph import SignedWeightedGraph
 from wsgat.spectral import signed_spectral_embedding, fallback_features, _signed_adjacency
 
-from wsgat.verify import random_graph
+from wsgat.verify import random_graph, scatter_add_oracle
 
 
 def test_two_node_positive_edge():
@@ -115,6 +115,12 @@ class TestFallbackFeatures:
         X = fallback_features(g, "degree_onehot_log", d=8)
         assert X[1, 2] == pytest.approx(0.25)  # sum of incoming weights
         assert X[0, 3] == pytest.approx(0.5)   # sum of outgoing weights
+
+    def test_weight_sums_give_the_add_at_oracle_bits(self):
+        g = random_graph(np.random.default_rng(8), 30, 0.3)
+        X = fallback_features(g, "degree_onehot_log", d=8)
+        assert X[:, 2].tobytes() == scatter_add_oracle(g.weight, g.dst, 30).tobytes()
+        assert X[:, 3].tobytes() == scatter_add_oracle(g.weight, g.src, 30).tobytes()
 
     def test_random_normal_reproducible(self):
         g = random_graph(np.random.default_rng(3), 6, 0.4)
