@@ -133,9 +133,8 @@ def cmd_reproduce(args):
     paths = [os.path.join(args.data, f"{ds}.tsv") for ds in datasets]
     missing = [path for path in paths if not os.path.exists(path)]
     if missing:
-        print(f"missing ingested datasets; expected files: {', '.join(missing)}", file=sys.stderr)
-        print("run `wsgat ingest <raw file> --out <data dir>` first", file=sys.stderr)
-        return 2
+        raise FileNotFoundError(f"missing ingested datasets {', '.join(missing)}; "
+                                "run `wsgat ingest <raw file> --out <data dir>` first")
     cfg = parse_config(args.config)
     rows = ["dataset,auc_mean,auc_std,f1_mean,f1_std,mae_mean,mae_std"]
     for ds, path in zip(datasets, paths):
@@ -143,8 +142,10 @@ def cmd_reproduce(args):
         reports = [train(task, g, dataclasses.replace(cfg, seed=seed), dataset=ds)[1]
                    for seed in range(args.seeds)]
         columns = ([r.roc_auc for r in reports], [r.f1 for r in reports],
-                   [np.nan if r.mae is None else r.mae for r in reports])
-        rows.append(ds + "".join(f",{np.nanmean(c):.4f},{np.nanstd(c):.4f}" for c in columns))
+                   [r.mae for r in reports if r.mae is not None])
+        # the sign table has no MAE: its column is empty and reads nan,nan
+        rows.append(ds + "".join(f",{np.mean(c):.4f},{np.std(c):.4f}" if c else ",nan,nan"
+                                 for c in columns))
     # written before anything is printed, so a closed stdout cannot lose the table
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"table{args.table}.csv")

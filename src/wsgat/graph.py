@@ -195,6 +195,9 @@ def split_edges(g, train_fraction=0.8, seed=0):
     rng = np.random.default_rng(seed)
     perm = rng.permutation(g.num_edges)
     n_train = int(np.floor(train_fraction * g.num_edges))
+    if n_train == 0:
+        raise EmptyGraphError(f"train split is empty: {g.num_edges} edge(s) at "
+                              f"train_fraction {train_fraction}")
     train_idx, test_idx = perm[:n_train], perm[n_train:]
 
     train_graph = SignedWeightedGraph.from_edges(

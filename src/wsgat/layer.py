@@ -28,22 +28,31 @@ def _activation(name):
     return table[name]
 
 
-class AttentionMlp:
-    """Small MLP ending in a zero-centred activation, one logit out."""
+class Mlp:
+    """Dense layers ``{prefix}.w{i}``/``{prefix}.b{i}`` between consecutive ``sizes``.
 
-    def __init__(self, tape, prefix, in_width, hidden=(32,), slope=0.2):
-        sizes = [in_width, *hidden, 1]
+    ``hidden_act`` follows every layer but the last, ``out_act`` (None: linear)
+    the last.
+    """
+
+    def __init__(self, tape, prefix, sizes, hidden_act, out_act=None):
         self.weights, self.biases = [], []
         for i, (a, b) in enumerate(zip(sizes[:-1], sizes[1:])):
             self.weights.append(tape.glorot(f"{prefix}.w{i}", (a, b)))
             self.biases.append(tape.zeros(f"{prefix}.b{i}", (b,)))
-        self.slope = slope
+        self.acts = [hidden_act] * (len(sizes) - 2) + [out_act]
 
     def __call__(self, x):
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for w, b, act in zip(self.weights, self.biases, self.acts):
             x = ad.add(ad.matmul(x, w), b)
-            x = ad.tanh(x) if i == len(self.weights) - 1 else ad.leaky_relu(x, self.slope)
+            if act is not None:
+                x = act(x)
         return x
+
+
+def pair_features(H, first, second, *extra):
+    """Rows ``first`` and ``second`` of H side by side, then the ``extra`` columns."""
+    return ad.concat([ad.take_rows(H, first), ad.take_rows(H, second), *extra], axis=1)
 
 
 class WsGatLayer:
@@ -56,7 +65,7 @@ class WsGatLayer:
     """
 
     def __init__(self, tape, prefix, in_width, out_width, heads=1, head_merge="concat",
-                 attention_hidden=(32,), activation="elu", self_loop_weight=1.0,
+                 attention_hidden=32, activation="elu", self_loop_weight=1.0,
                  projection=True):
         if head_merge not in ("concat", "mean"):
             raise ValueError(f"unknown head_merge {head_merge!r}")
@@ -71,7 +80,8 @@ class WsGatLayer:
         self.projection = projection
         self.f = _activation(activation)
         self.att = [
-            AttentionMlp(tape, f"{prefix}.h{k}.att", 2 * in_width + 1, attention_hidden)
+            Mlp(tape, f"{prefix}.h{k}.att", [2 * in_width + 1, attention_hidden, 1],
+                ad.leaky_relu, ad.tanh)
             for k in range(heads)
         ]
         self.w_out = [
@@ -97,11 +107,7 @@ class WsGatLayer:
         if H.shape[0] != g.num_nodes:
             raise ShapeError("feature row count must equal num_nodes")
         src, dst, w = self.edge_arrays(g)
-        h_i = ad.take_rows(H, dst)
-        h_j = ad.take_rows(H, src)
-        w_col = Tensor(w[:, None])
-        feats = ad.concat([h_i, h_j, w_col], axis=1)
-        return self.att[head](feats)  # (E+N, 1)
+        return self.att[head](pair_features(H, dst, src, Tensor(w[:, None])))  # (E+N, 1)
 
     def attention_coefficients(self, head, logits, g):
         """Signed softmax per destination node."""
@@ -133,8 +139,9 @@ class WsGatStack:
     """Sequential wsGAT layers; zero layers returns the input unchanged."""
 
     def __init__(self, tape, in_width, hidden_width=64, out_width=64, num_layers=2,
-                 heads=1, attention_hidden=(32,), activation="elu",
+                 heads=1, attention_hidden=32, activation="elu",
                  self_loop_weight=1.0, projection=True):
+        _activation(activation)  # an unknown name fails even with zero layers
         self.layers = []
         width = in_width
         for i in range(num_layers):

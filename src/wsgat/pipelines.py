@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, Tape, Adam
 from .errors import ConfigError, DegenerateTaskError
 from .graph import normalize_weights, pair_keys, split_edges
-from .layer import WsGatStack
+from .layer import Mlp, WsGatStack, pair_features
 from .metrics import roc_auc, f1_score, mean_absolute_error
 from .spectral import signed_spectral_embedding, fallback_features
 
@@ -84,27 +84,15 @@ class EvalReport:
         return f"{self.task},{self.dataset},{self.seed},{self.roc_auc:.6f},{self.f1:.6f},{mae}"
 
 
-class PairHead:
-    """3-layer MLP over a concatenated pair of node embeddings.
+class PairHead(Mlp):
+    """MLP over a pair of node embeddings: tanh between its layers, ``out_act``
+    (None: linear) after the last."""
 
-    Two hidden layers of 100 neurons (tanh), then a linear output of
-    ``out_width`` units; the caller applies the output activation.
-    """
+    def __init__(self, tape, prefix, sizes, out_act=None):
+        super().__init__(tape, prefix, sizes, ad.tanh, out_act)
 
-    def __init__(self, tape, prefix, in_width, out_width=1, hidden=100, layers=3):
-        sizes = [in_width] + [hidden] * (layers - 1) + [out_width]
-        self.weights, self.biases = [], []
-        for i, (a, b) in enumerate(zip(sizes[:-1], sizes[1:])):
-            self.weights.append(tape.glorot(f"{prefix}.w{i}", (a, b)))
-            self.biases.append(tape.zeros(f"{prefix}.b{i}", (b,)))
-
-    def __call__(self, x):
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = ad.add(ad.matmul(x, w), b)
-            if i != last:
-                x = ad.tanh(x)
-        return x
+    # its own attribute, so a profiler can wrap the heads and not the attention MLPs
+    __call__ = Mlp.__call__
 
 
 class TaskModel:
@@ -122,21 +110,18 @@ class TaskModel:
             self.tape, self.X.shape[1],
             hidden_width=config.hidden, out_width=config.embed,
             num_layers=config.layers, heads=config.heads,
-            attention_hidden=(config.attention_hidden,),
+            attention_hidden=config.attention_hidden,
             activation=config.activation,
             self_loop_weight=config.self_loop_weight,
             projection=config.projection,
         )
-        pair_width = 2 * self.stack.out_width
-        hh, hl = config.head_hidden, config.head_layers
+        sizes = [2 * self.stack.out_width] + [config.head_hidden] * (config.head_layers - 1)
         if task == "sign":
-            self.sign_head = PairHead(self.tape, "sign_head", pair_width, out_width=3,
-                                      hidden=hh, layers=hl)
+            self.sign_head = PairHead(self.tape, "sign_head", sizes + [3])
         else:
-            self.exist_head = PairHead(self.tape, "exist_head", pair_width, out_width=1,
-                                       hidden=hh, layers=hl)
-            self.weight_head = PairHead(self.tape, "weight_head", pair_width, out_width=1,
-                                        hidden=hh, layers=hl)
+            self.exist_head = PairHead(self.tape, "exist_head", sizes + [1])
+            self.weight_head = PairHead(self.tape, "weight_head", sizes + [1],
+                                        ad.tanh if task == "signed-weight" else None)
 
     @staticmethod
     def _features(g, config):
@@ -157,7 +142,7 @@ class TaskModel:
         return self.stack.forward(self.X, self.graph)
 
     def pair_input(self, emb, pairs):
-        return ad.concat([ad.take_rows(emb, pairs[:, 0]), ad.take_rows(emb, pairs[:, 1])], axis=1)
+        return pair_features(emb, pairs[:, 0], pairs[:, 1])
 
     def sign_logits(self, emb, pairs):
         return self.sign_head(self.pair_input(emb, pairs))
@@ -166,8 +151,7 @@ class TaskModel:
         return ad.squeeze_col(self.exist_head(self.pair_input(emb, pairs)))
 
     def weight_values(self, emb, pairs):
-        raw = ad.squeeze_col(self.weight_head(self.pair_input(emb, pairs)))
-        return ad.tanh(raw) if self.task == "signed-weight" else raw
+        return ad.squeeze_col(self.weight_head(self.pair_input(emb, pairs)))
 
     def parameter_arrays(self):
         return {k: v.values.copy() for k, v in self.tape.params.items()}
@@ -315,8 +299,8 @@ def train(task, g, config, dataset="unknown"):
         if not np.isfinite(getattr(config, key)):
             raise ConfigError(f"{key} must be finite, got {getattr(config, key)}")
     lows = {"layers": 0, "lambda_weight": 0, **dict.fromkeys(
-        ("hidden", "embed", "attention_hidden", "head_hidden", "head_layers", "epochs",
-         "patience", "sse_dim"), 1)}
+        ("hidden", "embed", "heads", "attention_hidden", "head_hidden", "head_layers",
+         "epochs", "patience", "sse_dim"), 1)}
     for key, low in lows.items():
         if not getattr(config, key) >= low:
             raise ConfigError(f"{key} must be >= {low}, got {getattr(config, key)}")

@@ -102,7 +102,7 @@ def dense_layer_reference(layer, H, g):
                     if li == len(mlp.weights) - 1:
                         x = np.tanh(x)
                     else:
-                        x = np.where(x >= 0, x, mlp.slope * x)
+                        x = np.where(x >= 0, x, 0.2 * x)
                 logits.append(float(x[0]))
             logits = np.array(logits)
             m = np.abs(logits)
@@ -236,7 +236,7 @@ def _suite_oracle():
         g = random_graph(rng, n)
         tape = Tape(seed=trial)
         layer = WsGatLayer(tape, "l", 4, 3, heads=int(rng.integers(1, 3)),
-                           head_merge="concat", attention_hidden=(5,))
+                           head_merge="concat", attention_hidden=5)
         H = rng.standard_normal((n, 4))
         sparse = layer.forward(Tensor(H), g).values
         dense = dense_layer_reference(layer, H, g)

@@ -201,7 +201,8 @@ def test_reproduce_missing_dataset_message(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "bitcoin-alpha.tsv" in err and "bitcoin-otc.tsv" in err
+    assert "bitcoin-alpha.tsv" in err and "bitcoin-otc.tsv" in err and "wsgat ingest" in err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_reproduce_on_toy_datasets(table4_data, tmp_path, tiny_cfg, capsys):
@@ -215,6 +216,24 @@ def test_reproduce_on_toy_datasets(table4_data, tmp_path, tiny_cfg, capsys):
     for line in lines[1:]:
         parts = line.split(",")
         assert float(parts[2]) == 0.0
+
+
+def test_reproduce_sign_table_reads_nan_for_mae(tmp_path, tiny_cfg, capsys):
+    # the sign table has no MAE; under filterwarnings = error a numpy
+    # empty-slice warning would fail the run
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, seed in (("bitcoin-alpha", 1), ("bitcoin-otc", 2), ("epinions", 3)):
+        save_edge_list(random_graph(np.random.default_rng(seed), 18, 0.35), data / f"{name}.tsv")
+    rc = main(["reproduce", "2", "--data", str(data), "--seeds", "2",
+               "--config", tiny_cfg, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "o" / "table2.csv").read_text().strip().splitlines()
+    assert len(lines) == 4
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert fields[5:] == ["nan", "nan"] and "nan" not in fields[1:5]
 
 
 def test_verify_metrics_suite(capsys):
@@ -280,7 +299,8 @@ def test_parse_config_rejects_unknown_key(tmp_path):
                                   "lr = -1", "lr = 0", "lr = nan", "layers = -1",
                                   "lambda_weight = -1", "sse_dim = 0",
                                   "self_loop_weight = nan", "self_loop_weight = inf",
-                                  "lambda_weight = inf", "lr = inf"])
+                                  "lambda_weight = inf", "lr = inf",
+                                  "layers = 0\nheads = 0", "layers = 0\nactivation = relu"])
 def test_train_config_error_exit_code(toy_tsv, tmp_path, capsys, line):
     p = tmp_path / "bad.cfg"
     p.write_text(line + "\n")

@@ -185,6 +185,14 @@ def test_split_counts_and_disjointness():
                           np.sort(g.edge_keys()))
 
 
+def test_split_with_no_train_edges_says_so():
+    # floor(0.8 * 1) = 0 train edges; the input graph itself is not empty
+    g = SignedWeightedGraph.from_edges(3, [0], [1], [0.5])
+    with pytest.raises(EmptyGraphError, match=r"train split is empty: 1 edge\(s\) at "
+                                              r"train_fraction 0\.8"):
+        split_edges(g, 0.8, seed=0)
+
+
 def test_split_deterministic():
     g = random_graph(np.random.default_rng(4), 15, 0.4)
     s1 = split_edges(g, 0.8, seed=9)

@@ -15,25 +15,33 @@ def make_layer(seed=0, in_width=4, out_width=3, **kw):
 
 def test_constant_mlp_gives_constant_logits():
     g = random_graph(np.random.default_rng(0), 5, 0.4)
-    layer = make_layer(attention_hidden=())  # single linear layer + tanh
-    layer.att[0].weights[0].values[:] = 0.0
-    layer.att[0].biases[0].values[:] = 0.3
+    layer = make_layer(attention_hidden=1)
+    mlp = layer.att[0]
+    for w in mlp.weights:
+        w.values[:] = 0.0
+    mlp.biases[0].values[:] = 0.5
+    mlp.biases[1].values[:] = 0.3
     logits = layer.attention_logits(0, Tensor(np.random.default_rng(0).standard_normal((5, 4))), g)
     assert np.allclose(logits.values, np.tanh(0.3))
 
 
 def test_logit_matches_hand_computation():
-    # 2 nodes, one edge, hand-set single linear attention layer
+    # 2 nodes, one edge, hand-set attention MLP with one hidden unit
     g = SignedWeightedGraph.from_edges(2, [0], [1], [0.5])
-    layer = make_layer(in_width=2, attention_hidden=())
-    w = np.arange(1, 6, dtype=float)[:, None]  # (2*2+1, 1)
-    layer.att[0].weights[0].values[:] = w
-    layer.att[0].biases[0].values[:] = 0.1
+    layer = make_layer(in_width=2, attention_hidden=1)
+    mlp = layer.att[0]
+    w = -np.arange(1, 6, dtype=float)[:, None]  # (2*2+1, 1)
+    mlp.weights[0].values[:] = w
+    mlp.biases[0].values[:] = 0.1
+    mlp.weights[1].values[:] = 2.0
+    mlp.biases[1].values[:] = 0.3
     H = np.array([[0.2, -0.3], [0.4, 0.1]])
     logits = layer.attention_logits(0, Tensor(H), g).values
     # edge 0->1: features are (h_dst || h_src || w); self-loops follow the edges
     feats = np.concatenate([H[1], H[0], [0.5]])
-    assert logits[0, 0] == pytest.approx(np.tanh(feats @ w[:, 0] + 0.1), abs=1e-12)
+    z = feats @ w[:, 0] + 0.1
+    assert z < 0  # the hidden unit takes leaky_relu's negative branch
+    assert logits[0, 0] == pytest.approx(np.tanh(2.0 * 0.2 * z + 0.3), abs=1e-12)
 
 
 def test_feature_width_mismatch_errors():
