@@ -67,7 +67,7 @@ def _node(values, op, *grads):
     output's gradient to the parent's; backward accumulates fn(g) into each
     parent that requires a gradient, in the order given."""
 
-    def backward(g, out):
+    def backward(g):
         for parent, fn in grads:
             if parent.requires_grad:
                 parent.accumulate_grad(fn(g))
@@ -138,20 +138,20 @@ def sigmoid(a):
     return _unary(a, lambda x: 1.0 / (1.0 + np.exp(-x)), lambda x, o: o * (1.0 - o), "sigmoid")
 
 
-def leaky_relu(a, slope=0.2):
+def leaky_relu(a):
     return _unary(
         a,
-        lambda x: np.where(x >= 0, x, slope * x),
-        lambda x, o: np.where(x >= 0, 1.0, slope),
+        lambda x: np.where(x >= 0, x, 0.2 * x),
+        lambda x, o: np.where(x >= 0, 1.0, 0.2),
         "leaky_relu",
     )
 
 
-def elu(a, alpha=1.0):
+def elu(a):
     return _unary(
         a,
-        lambda x: np.where(x >= 0, x, alpha * np.expm1(x)),
-        lambda x, o: np.where(x >= 0, 1.0, alpha * np.exp(x)),
+        lambda x: np.where(x >= 0, x, np.expm1(x)),
+        lambda x, o: np.where(x >= 0, 1.0, np.exp(x)),
         "elu",
     )
 
@@ -330,7 +330,7 @@ def backward(output):
         if node.grad is not None:
             _check_finite(node.grad, f"gradient of {node.op or 'tensor'}")
             if node.parents:
-                node._backward(node.grad, node)
+                node._backward(node.grad)
                 node.grad = None
 
 
@@ -350,7 +350,7 @@ class Tape:
         return t
 
     def glorot(self, name, shape):
-        fan_in, fan_out = (shape[0], shape[-1]) if len(shape) > 1 else (shape[0], shape[0])
+        fan_in, fan_out = shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return self.parameter(name, self.rng.uniform(-limit, limit, size=shape))
 
@@ -373,23 +373,23 @@ class Tape:
 
 
 class Adam:
-    """Standard Adam with bias correction, deterministic given gradients."""
+    """Adam with bias correction, betas (0.9, 0.999), eps 1e-8; deterministic given gradients."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m = [np.zeros_like(p.values) for p in self.params]
         self.v = [np.zeros_like(p.values) for p in self.params]
         self.t = 0
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.values)
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             m_hat = self.m[i] / (1 - b1 ** self.t)
             v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.values = p.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.values = p.values - self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
             _check_finite(p.values, "adam update")

@@ -14,6 +14,8 @@ Layout (all integers little-endian):
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -39,13 +41,16 @@ def save_arrays(path, arrays):
 
 def load_arrays(path):
     """name -> writable float64 array; ValueError for a foreign or truncated
-    file, one that names an array twice, or one with bytes after its last array."""
+    file, a name that is not UTF-8, one that names an array twice, or one with
+    bytes after its last array."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
         def read(n):
-            data = f.read(n)
-            if len(data) != n:
-                raise ValueError(f"{path}: truncated checkpoint")
-            return data
+            # checked first, so a corrupt length cannot ask for more memory than the file holds
+            if n > size - f.tell():
+                raise ValueError(f"{path}: truncated checkpoint ({n} bytes needed)")
+            return f.read(n)
 
         if read(len(MAGIC)) != MAGIC:
             raise ValueError(f"{path}: not a wsgat checkpoint")
@@ -53,13 +58,15 @@ def load_arrays(path):
         out = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", read(4))
-            name = read(name_len).decode("utf-8")
+            try:
+                name = read(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: array name is not UTF-8") from None
             if name in out:
                 raise ValueError(f"{path}: array {name!r} stored twice")
             (ndim,) = struct.unpack("<I", read(4))
             shape = tuple(struct.unpack("<Q", read(8))[0] for _ in range(ndim))
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(read(8 * n), dtype="<f8").reshape(shape)
+            data = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
             out[name] = np.array(data)  # writable copy
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")

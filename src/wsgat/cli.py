@@ -56,14 +56,14 @@ BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 
 def parse_config(path=None):
     """Flat 'key = value' text config; '#' comments; unknown keys rejected."""
-    cfg = TrainConfig()
     if not path:
-        return cfg
+        return TrainConfig()
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
+    values = {}
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -76,11 +76,14 @@ def parse_config(path=None):
                               f"(known: {sorted(CONFIG_KEYS)})")
         kind = CONFIG_KEYS[k]
         try:
-            setattr(cfg, k, BOOL_WORDS[v.lower()] if kind is bool else kind(v))
+            values[k] = BOOL_WORDS[v.lower()] if kind is bool else kind(v)
         except (KeyError, ValueError):
             raise ConfigError(f"{path}:{lineno}: {k} expects {kind.__name__}, "
                               f"got {v!r}") from None
-    return cfg
+    try:
+        return TrainConfig(**values)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def cmd_ingest(args):
@@ -96,8 +99,8 @@ def cmd_ingest(args):
 
 
 def cmd_train(args):
-    g = load_edge_list(args.graph, fmt=args.format)
     cfg = dataclasses.replace(parse_config(args.config), seed=args.seed)
+    g = load_edge_list(args.graph, fmt=args.format)
     dataset = os.path.splitext(os.path.basename(args.graph))[0]
     model, report = train(args.task, g, cfg, dataset=dataset)
     os.makedirs(args.out, exist_ok=True)
@@ -157,7 +160,7 @@ def cmd_reproduce(args):
 
 
 def cmd_verify(args):
-    failures = verify_mod.run_suite(args.suite)
+    failures = verify_mod.SUITES[args.suite]()
     if failures:
         for module, prop, observed in failures:
             print(f"FAIL {module}: {prop} (observed {observed})")

@@ -45,15 +45,7 @@ class NumericFault(WsgatError):
 
 
 class ConvergenceError(WsgatError):
-    """Iterative solver did not reach tolerance within its iteration budget.
-
-    residual is the largest relative residual left, inf when the solver does
-    not report one (ARPACK returns only the converged pairs).
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Iterative solver did not reach tolerance within its iteration budget."""
 
 
 class UndefinedMetricError(WsgatError):

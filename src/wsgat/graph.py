@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -145,9 +146,11 @@ def load_edge_list(path, fmt=None, symmetrize=False):
 def _label_key(lab):
     # numeric labels sort numerically so ingestion is stable across exports
     try:
-        return (0, float(lab), lab)
+        x = float(lab)
     except ValueError:
         return (1, 0.0, lab)
+    # NaN compares false with every number, so "nan" sorts with the words
+    return (1, 0.0, lab) if math.isnan(x) else (0, x, lab)
 
 
 def save_edge_list(g, path):

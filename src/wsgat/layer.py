@@ -141,7 +141,6 @@ class WsGatStack:
     def __init__(self, tape, in_width, hidden_width=64, out_width=64, num_layers=2,
                  heads=1, attention_hidden=32, activation="elu",
                  self_loop_weight=1.0, projection=True):
-        _activation(activation)  # an unknown name fails even with zero layers
         self.layers = []
         width = in_width
         for i in range(num_layers):

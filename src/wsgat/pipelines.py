@@ -26,15 +26,19 @@ from . import autodiff as ad
 from .autodiff import Tensor, Tape, Adam
 from .errors import ConfigError, DegenerateTaskError
 from .graph import normalize_weights, pair_keys, split_edges
-from .layer import Mlp, WsGatStack, pair_features
+from .layer import Mlp, WsGatStack, _activation, pair_features
 from .metrics import roc_auc, f1_score, mean_absolute_error
 from .spectral import signed_spectral_embedding, fallback_features
 
 TASKS = ("sign", "weight", "signed-weight")
+FEATURES = ("degree_onehot_log", "sse", "random_normal")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Every training setting, all checked when built (ConfigError). Frozen, so
+    one that exists is valid; derive a variant with ``dataclasses.replace``."""
+
     layers: int = 2
     hidden: int = 64
     embed: int = 64
@@ -43,7 +47,7 @@ class TrainConfig:
     activation: str = "elu"
     projection: bool = True
     self_loop_weight: float = 1.0
-    features: str = "degree_onehot_log"  # or "sse", "random_normal"
+    features: str = "degree_onehot_log"  # one of FEATURES
     feature_dim: int = 8
     sse_dim: int = 32
     head_hidden: int = 100   # per-layer neurons of the prediction heads
@@ -55,6 +59,24 @@ class TrainConfig:
     train_fraction: float = 0.8
     val_fraction: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        # one rule per numeric key; every comparison is false for nan
+        rules = [(("hidden", "embed", "heads", "attention_hidden", "head_hidden", "head_layers",
+                   "epochs", "patience", "feature_dim", "sse_dim"), lambda v: v >= 1, ">= 1"),
+                 (("layers", "seed"), lambda v: v >= 0, ">= 0"),
+                 (("lr",), lambda v: 0 < v < np.inf, "finite and > 0"),
+                 (("lambda_weight",), lambda v: 0 <= v < np.inf, "finite and >= 0"),
+                 (("self_loop_weight",), lambda v: -np.inf < v < np.inf, "finite"),
+                 (("train_fraction",), lambda v: 0 < v < 1, "in (0, 1)"),
+                 (("val_fraction",), lambda v: 0 <= v < 1, "in [0, 1)")]
+        for keys, ok, rule in rules:
+            for key in keys:
+                if not ok(getattr(self, key)):
+                    raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)}")
+        if self.features not in FEATURES:
+            raise ConfigError(f"unknown feature kind {self.features!r}")
+        _activation(self.activation)
 
     def digest(self):
         blob = json.dumps(asdict(self), sort_keys=True).encode()
@@ -188,9 +210,9 @@ def mse(pred, target):
     return ad.mean_(ad.mul(diff, diff))
 
 
-def cross_entropy(logits, labels, num_classes=3):
+def cross_entropy(logits, labels):
     logp = ad.log_softmax_rows(logits)
-    onehot = np.eye(num_classes)[np.asarray(labels, dtype=np.int64)]
+    onehot = np.eye(logits.shape[1])[np.asarray(labels, dtype=np.int64)]
     picked = ad.mul(logp, onehot)
     return ad.mul(ad.sum_(picked), -1.0 / len(labels))
 
@@ -201,8 +223,6 @@ def _val_slice(n, frac, rng):
     frac=0 leaves no validation slice; val_idx is then train_idx, so early
     stopping monitors the train loss.
     """
-    if not 0.0 <= frac < 1.0:
-        raise ConfigError(f"val_fraction must be in [0, 1), got {frac}")
     perm = rng.permutation(n)
     n_val = int(np.floor(frac * n))
     if frac > 0 and n > 1:
@@ -293,19 +313,6 @@ def train(task, g, config, dataset="unknown"):
     """Train one task on ``g`` and score it on its held-out split: (model, report)."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    # range checks for the keys that are not checked where they are used;
-    # inf passes a lower bound, so the float keys must also be finite
-    for key in ("lr", "lambda_weight", "self_loop_weight"):
-        if not np.isfinite(getattr(config, key)):
-            raise ConfigError(f"{key} must be finite, got {getattr(config, key)}")
-    lows = {"layers": 0, "lambda_weight": 0, **dict.fromkeys(
-        ("hidden", "embed", "heads", "attention_hidden", "head_hidden", "head_layers",
-         "epochs", "patience", "sse_dim"), 1)}
-    for key, low in lows.items():
-        if not getattr(config, key) >= low:
-            raise ConfigError(f"{key} must be >= {low}, got {getattr(config, key)}")
-    if not config.lr > 0:
-        raise ConfigError(f"lr must be > 0, got {config.lr}")
     t0 = time.time()
     if task == "sign" and not (np.any(g.weight > 0) and np.any(g.weight < 0)):
         raise DegenerateTaskError("sign prediction needs both positive and negative edges")

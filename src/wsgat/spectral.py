@@ -45,9 +45,7 @@ def signed_spectral_embedding(g, d=32, iters=500, seed=0, tol=1e-8):
         except ArpackNoConvergence as e:
             raise ConvergenceError(
                 f"Lanczos did not converge in {iters} restarts: "
-                f"{len(e.eigenvalues)} of {k} eigenpairs converged",
-                residual=float("inf"),
-            ) from None
+                f"{len(e.eigenvalues)} of {k} eigenpairs converged") from None
     # |lambda| descending; magnitudes rounded so +-lambda pairs tie exactly,
     # then the positive member sorts first
     mag = np.round(np.abs(lam) / max(np.max(np.abs(lam)), 1e-300), 9)

@@ -71,7 +71,7 @@ def test_concat_gradient_routing():
 
 
 def test_pointwise_values():
-    assert ad.leaky_relu(Tensor([-1.0]), 0.2).values[0] == pytest.approx(-0.2)
+    assert ad.leaky_relu(Tensor([-1.0])).values[0] == pytest.approx(-0.2)
     assert ad.sign_(Tensor([3.0, -0.5, 0.0])).values.tolist() == [1.0, -1.0, 0.0]
     x = Tensor([0.0], requires_grad=True)
     ad.backward(ad.sum_(ad.tanh(x)))
@@ -199,7 +199,7 @@ def test_binary_broadcasts_only_identical_scalar_and_bias_shapes(a_shape, b_shap
 def test_non_finite_gradient_raises_numeric_fault():
     x = Tensor([1.0, 2.0], requires_grad=True)
 
-    def backward(g, out):
+    def backward(g):
         x.accumulate_grad(np.full(x.shape, np.inf))
 
     y = Tensor(x.values.copy(), parents=(x,), backward=backward, op="inf_grad")

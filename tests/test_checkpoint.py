@@ -65,6 +65,20 @@ def test_trailing_bytes_raise_value_error_naming_the_path(tmp_path):
         load_arrays(p)
 
 
+@pytest.mark.parametrize("name, dims", [
+    (b"w", (2**40,)),          # 8 TB of data declared
+    (b"w", (2**32, 2**32)),    # element count past 2**64
+    (b"\xff", (1,)),          # name that is not UTF-8
+])
+def test_corrupt_header_raises_value_error_naming_the_path(tmp_path, name, dims):
+    p = tmp_path / "corrupt.ckpt"
+    p.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<I", len(name)) + name
+                  + struct.pack("<I", len(dims)) + b"".join(struct.pack("<Q", d) for d in dims)
+                  + np.ones(1, "<f8").tobytes())
+    with pytest.raises(ValueError, match=re.escape(f"{p}: ")):
+        load_arrays(p)
+
+
 def test_repeated_array_name_raises_value_error_naming_the_path(tmp_path):
     # save_arrays cannot write this file: two records named "w", ones then zeros
     def record(values):

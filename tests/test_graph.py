@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from wsgat.errors import EmptyGraphError, GraphParseError, SamplingExhaustedError
 from wsgat.graph import (
     SignedWeightedGraph,
+    _label_key,
     pair_keys,
     load_edge_list,
     save_edge_list,
@@ -69,6 +72,13 @@ def test_file_that_is_not_utf8_raises_graph_parse_error(tmp_path):
     with pytest.raises(GraphParseError, match="not UTF-8 text") as e:
         load_edge_list(p)
     assert e.value.lineno is None and str(e.value).startswith(f"{p}: ")
+
+
+def test_label_order_does_not_depend_on_input_order():
+    # a label that parses to NaN sorts with the non-numeric labels
+    labels = ["2", "nan", "10", "alice", "inf"]
+    orders = {tuple(sorted(p, key=_label_key)) for p in itertools.permutations(labels)}
+    assert orders == {("2", "10", "inf", "alice", "nan")}
 
 
 def test_duplicate_keeps_last(tmp_path):

@@ -1,10 +1,11 @@
+import dataclasses
 import weakref
 
 import numpy as np
 import pytest
 
 from wsgat import pipelines
-from wsgat.errors import DegenerateTaskError
+from wsgat.errors import ConfigError, DegenerateTaskError
 from wsgat.graph import SignedWeightedGraph, normalize_weights, split_edges
 from wsgat.metrics import roc_auc
 from wsgat.pipelines import TaskModel, TrainConfig, _val_slice, evaluate, train
@@ -36,6 +37,24 @@ def test_unknown_task_rejected():
     g = SignedWeightedGraph.from_edges(3, [0, 1], [1, 2], [1.0, -2.0])
     with pytest.raises(ValueError, match="unknown task"):
         train("bogus", g, tiny_config())
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(val_fraction=1.0), "val_fraction"), (dict(val_fraction=-0.1), "val_fraction"),
+    (dict(activation="relu"), "unknown activation"), (dict(features="see"), "unknown feature"),
+    (dict(train_fraction=1.0), "train_fraction"), (dict(feature_dim=0), "feature_dim"),
+    (dict(seed=-1), "seed")])
+def test_config_checks_itself_when_built(bad, message):
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(**bad)
+
+
+def test_config_is_frozen():
+    cfg = TrainConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.epochs = 5
+    with pytest.raises(ConfigError):
+        dataclasses.replace(cfg, epochs=0)
 
 
 def test_val_slice_without_validation_monitors_train():

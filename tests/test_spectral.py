@@ -86,9 +86,8 @@ def test_deterministic_given_seed():
 def test_nonconvergence_raises():
     # at 40 nodes one restart does not span the whole graph, as it would at 12
     g = random_graph(np.random.default_rng(1), 40, 0.4)
-    with pytest.raises(ConvergenceError, match=r"of 8 eigenpairs converged") as e:
+    with pytest.raises(ConvergenceError, match=r"of 8 eigenpairs converged"):
         signed_spectral_embedding(g, d=4, seed=0, iters=1, tol=1e-15)
-    assert e.value.residual is not None
 
 
 def test_d_larger_than_n_rejected():
