@@ -11,8 +11,13 @@ a scalar on either side, or an (n, k) matrix on the left plus a (k,) row on
 the right (the bias, whose gradient is the column sums of g). Any other pairing
 raises ShapeError.
 
-Row scatters (segment_sum forward, take_rows backward) are one sparse
-incidence-matrix product. It sums each row's contributions in index order,
+Two fused ops serve a dense layer over pairs of node rows without building
+the pair matrix: linear(x, w, b) is x @ w + b in one node, and
+gather_sum(a, first, b, second) is a[first] + b[second] in one node. Each
+gives the bits of the unfused ops it replaces.
+
+Row scatters (segment_sum forward, take_rows and gather_sum backward) are one
+sparse incidence-matrix product. It sums each row's contributions in index order,
 starting from zero, so it gives the same bits as numpy.add.at. Their row indices
 must lie in [0, n); anything else raises ShapeError.
 """
@@ -113,6 +118,18 @@ def matmul(a, b):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     return _node(a.values @ b.values, "matmul",
                  (a, lambda g: g @ b.values.T), (b, lambda g: a.values.T @ g))
+
+
+def linear(x, w, b):
+    """x @ w + b in one node, b added in place: the bits of add(matmul(x, w), b)."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if (x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    out = x.values @ w.values
+    out += b.values
+    return _node(out, "linear", (x, lambda g: g @ w.values.T), (w, lambda g: x.values.T @ g),
+                 (b, lambda g: g.sum(axis=0)))
 
 
 def _unary(a, fwd, deriv, op):
@@ -239,6 +256,22 @@ def take_rows(a, idx):
     a = _as_tensor(a)
     idx = _row_index(idx, a.shape[0], "take_rows")
     return _node(a.values[idx], "take_rows", (a, lambda g: _scatter_add(g, idx, a.shape[0])))
+
+
+def gather_sum(a, first, b, second):
+    """a[first] + b[second] in one node: the bits of add(take_rows(a, first),
+    take_rows(b, second)), without either gathered matrix."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeError(f"gather_sum: incompatible shapes {a.shape} and {b.shape}")
+    first = _row_index(first, a.shape[0], "gather_sum")
+    second = _row_index(second, b.shape[0], "gather_sum")
+    if first.shape != second.shape or first.ndim != 1:
+        raise ShapeError(f"gather_sum: index shapes {first.shape} and {second.shape}")
+    out = a.values[first]
+    out += b.values[second]
+    return _node(out, "gather_sum", (a, lambda g: _scatter_add(g, first, a.shape[0])),
+                 (b, lambda g: _scatter_add(g, second, b.shape[0])))
 
 
 def scale_rows(a, s):

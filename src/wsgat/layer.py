@@ -5,6 +5,11 @@ self-loop per node) is an MLP over (h_i || h_j || w_ij). Logits pass through
 a per-destination-node signed softmax, so coefficients live in [-1, 1] and
 their magnitudes sum to 1 per node. Aggregation scales the (optionally
 projected) source embeddings and sums them into the destination.
+
+Mlp, which scores the edges here and the node pairs in the prediction heads,
+takes a node matrix and two index arrays and never builds the pair matrix:
+its first layer runs over the node rows and gathers the products per pair.
+pair_features builds that matrix, as the dense reference.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ def _activation(name):
 
 
 class Mlp:
-    """Dense layers ``{prefix}.w{i}``/``{prefix}.b{i}`` between consecutive ``sizes``.
+    """Dense layers ``{prefix}.w{i}``/``{prefix}.b{i}`` between consecutive ``sizes``,
+    over pairs of node rows.
 
     ``hidden_act`` follows every layer but the last, ``out_act`` (None: linear)
     the last.
@@ -42,16 +48,33 @@ class Mlp:
             self.biases.append(tape.zeros(f"{prefix}.b{i}", (b,)))
         self.acts = [hidden_act] * (len(sizes) - 2) + [out_act]
 
-    def __call__(self, x):
-        for w, b, act in zip(self.weights, self.biases, self.acts):
-            x = ad.add(ad.matmul(x, w), b)
+    def __call__(self, H, first, second, extra=None):
+        """The MLP over row k of ``pair_features(H, first, second, extra)``.
+
+        The rows of ``w0`` split into ``W_a``, ``W_b`` and ``w_c``, matching
+        the three blocks of columns, so the first layer is
+        ``(H W_a + b0)[first] + (H W_b)[second] + extra w_c``: its products
+        run over the node rows, and no pair-wide input or gradient is built.
+        """
+        w0, d = self.weights[0], H.shape[1]
+        width = 2 * d + (0 if extra is None else extra.shape[1])
+        if w0.shape[0] != width:
+            raise ShapeError(f"Mlp expects {w0.shape[0]} input columns, got {width}")
+        x = ad.gather_sum(ad.linear(H, ad.take_rows(w0, np.arange(d)), self.biases[0]), first,
+                          ad.matmul(H, ad.take_rows(w0, np.arange(d, 2 * d))), second)
+        if extra is not None:
+            x = ad.add(x, ad.matmul(extra, ad.take_rows(w0, np.arange(2 * d, w0.shape[0]))))
+        for i, act in enumerate(self.acts):
+            if i:
+                x = ad.linear(x, self.weights[i], self.biases[i])
             if act is not None:
                 x = act(x)
         return x
 
 
 def pair_features(H, first, second, *extra):
-    """Rows ``first`` and ``second`` of H side by side, then the ``extra`` columns."""
+    """Rows ``first`` and ``second`` of H side by side, then the ``extra`` columns:
+    the dense reference of an ``Mlp``'s input, which ``Mlp`` itself never builds."""
     return ad.concat([ad.take_rows(H, first), ad.take_rows(H, second), *extra], axis=1)
 
 
@@ -107,7 +130,7 @@ class WsGatLayer:
         if H.shape[0] != g.num_nodes:
             raise ShapeError("feature row count must equal num_nodes")
         src, dst, w = self.edge_arrays(g)
-        return self.att[head](pair_features(H, dst, src, Tensor(w[:, None])))  # (E+N, 1)
+        return self.att[head](H, dst, src, Tensor(w[:, None]))  # (E+N, 1)
 
     def attention_coefficients(self, head, logits, g):
         """Signed softmax per destination node."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
@@ -36,8 +36,9 @@ FEATURES = ("degree_onehot_log", "sse", "random_normal")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every training setting, all checked when built (ConfigError). Frozen, so
-    one that exists is valid; derive a variant with ``dataclasses.replace``."""
+    """Every training setting, each type and range checked when built
+    (ConfigError). Frozen, so one that exists is valid; derive a variant with
+    ``dataclasses.replace``."""
 
     layers: int = 2
     hidden: int = 64
@@ -61,6 +62,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each key takes its default's type, a float key an int too; bool is
+        # an int to Python but is no int or float setting here
+        for f in fields(self):
+            v, kind = getattr(self, f.name), type(f.default)
+            if (not isinstance(v, (int, float) if kind is float else kind)
+                    or (isinstance(v, bool) and kind is not bool)):
+                raise ConfigError(f"{f.name} must be {kind.__name__}, got {v!r}")
+            if kind is float:  # lr=1 and lr=1.0 are one config with one digest
+                object.__setattr__(self, f.name, float(v))
         # one rule per numeric key; every comparison is false for nan
         rules = [(("hidden", "embed", "heads", "attention_hidden", "head_hidden", "head_layers",
                    "epochs", "patience", "feature_dim", "sse_dim"), lambda v: v >= 1, ">= 1"),
@@ -107,8 +117,8 @@ class EvalReport:
 
 
 class PairHead(Mlp):
-    """MLP over a pair of node embeddings: tanh between its layers, ``out_act``
-    (None: linear) after the last."""
+    """MLP over pairs of node embeddings, ``head(emb, s, d)``: tanh between its
+    layers, ``out_act`` (None: linear) after the last."""
 
     def __init__(self, tape, prefix, sizes, out_act=None):
         super().__init__(tape, prefix, sizes, ad.tanh, out_act)
@@ -164,16 +174,18 @@ class TaskModel:
         return self.stack.forward(self.X, self.graph)
 
     def pair_input(self, emb, pairs):
+        """``emb[s] || emb[d]`` per pair: the dense reference of a head's input,
+        which the heads themselves never build."""
         return pair_features(emb, pairs[:, 0], pairs[:, 1])
 
     def sign_logits(self, emb, pairs):
-        return self.sign_head(self.pair_input(emb, pairs))
+        return self.sign_head(emb, pairs[:, 0], pairs[:, 1])
 
     def existence_logits(self, emb, pairs):
-        return ad.squeeze_col(self.exist_head(self.pair_input(emb, pairs)))
+        return ad.squeeze_col(self.exist_head(emb, pairs[:, 0], pairs[:, 1]))
 
     def weight_values(self, emb, pairs):
-        return ad.squeeze_col(self.weight_head(self.pair_input(emb, pairs)))
+        return ad.squeeze_col(self.weight_head(emb, pairs[:, 0], pairs[:, 1]))
 
     def parameter_arrays(self):
         return {k: v.values.copy() for k, v in self.tape.params.items()}

@@ -109,6 +109,16 @@ def dense_layer_reference(layer, H, g):
     return layer.f(Tensor(merged)).values
 
 
+def dense_mlp_reference(mlp, X):
+    """``mlp`` over a built input matrix X, such as ``pair_features``, through
+    matmul and add: the reference of ``Mlp``'s split first layer."""
+    for w, b, act in zip(mlp.weights, mlp.biases, mlp.acts):
+        X = ad.add(ad.matmul(X, w), b)
+        if act is not None:
+            X = act(X)
+    return X
+
+
 def scatter_add_oracle(values, idx, n):
     """np.add.at reference for the row scatters: values[k] summed into row idx[k] of n."""
     values = np.asarray(values, dtype=np.float64)
@@ -180,6 +190,11 @@ def _gradcheck_ops():
     z = Tensor(rng.standard_normal(8), requires_grad=True)
     y = rng.integers(0, 2, 8).astype(float)
     check("bce_with_logits", lambda: bce_with_logits(z, Tensor(y)), [z])
+    bias = Tensor(rng.standard_normal(2), requires_grad=True)
+    check("linear", lambda: ad.sum_(ad.tanh(ad.linear(a, b, bias))), [a, b, bias])
+    f = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    check("gather_sum", lambda: ad.sum_(ad.tanh(ad.gather_sum(a, idx, f, [1, 1, 0, 1]))),
+          [a, f])
     return failures
 
 

@@ -140,6 +140,7 @@ TWO_INPUT_OPS = {
     "matmul": (ad.matmul, (3, 4), (4, 2)),
     "scale_rows": (ad.scale_rows, (3, 4), (3,)),
     "concat": (lambda x, y: ad.concat([x, y], axis=1), (3, 4), (3, 2)),
+    "gather_sum": (lambda x, y: ad.gather_sum(x, [0, 2, 2], y, [1, 1, 0]), (3, 4), (2, 4)),
 }
 
 
@@ -221,6 +222,9 @@ def test_scatter_ops_reject_out_of_range_rows(bad):
     a = Tensor(np.ones((3, 2)), requires_grad=True)
     with pytest.raises(ShapeError, match="take_rows: index out of range"):
         ad.take_rows(a, [0, bad])
+    for first, second in (([0, bad], [0, 1]), ([0, 1], [bad, 0])):
+        with pytest.raises(ShapeError, match="gather_sum: index out of range"):
+            ad.gather_sum(a, first, a, second)
     with pytest.raises(ShapeError, match="segment_sum: index out of range"):
         ad.segment_sum(a, [0, bad, 1], 3)
     with pytest.raises(ShapeError, match="segment_signed_softmax: index out of range"):
@@ -253,6 +257,56 @@ def test_scatters_give_the_add_at_oracle_bits(data, n, width):
     upstream = np.concatenate([values, extra], axis=axis)
     ad.backward(ad.sum_(ad.mul(ad.concat([rows, Tensor(extra)], axis=axis), upstream)))
     assert a.grad.shape == ref.shape and a.grad.tobytes() == ref.tobytes()
+
+
+def _grads_after(loss, tensors):
+    ad.backward(loss)
+    return [t.grad.tobytes() for t in tensors]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_linear_gives_the_bits_of_matmul_plus_bias(seed):
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal(s) for s in ((7, 5), (5, 3), (3,))]
+    g = rng.standard_normal((7, 3))
+
+    def run(op):
+        x, w, b = (Tensor(v, requires_grad=True) for v in values)
+        out = op(x, w, b)
+        return out.values.tobytes(), _grads_after(ad.sum_(ad.mul(out, g)), (x, w, b))
+
+    assert run(ad.linear) == run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+
+
+@pytest.mark.parametrize("same", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_gather_sum_gives_the_bits_of_two_take_rows_added(seed, same):
+    """Repeated and never-hit rows; `same` gathers both sides from one tensor."""
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal((4, 3)), rng.standard_normal((5, 3))]
+    first, second = rng.integers(0, 3, 9), rng.integers(0, 4, 9)
+    g = rng.standard_normal((9, 3))
+
+    def run(op):
+        a = Tensor(values[0], requires_grad=True)
+        b = a if same else Tensor(values[1], requires_grad=True)
+        out = op(a, first, b, second)
+        leaves = (a,) if same else (a, b)
+        return out.values.tobytes(), _grads_after(ad.sum_(ad.mul(out, g)), leaves)
+
+    assert run(ad.gather_sum) == run(
+        lambda a, i, b, j: ad.add(ad.take_rows(a, i), ad.take_rows(b, j)))
+
+
+def test_fused_ops_reject_mismatched_shapes():
+    with pytest.raises(ShapeError, match="gather_sum: incompatible shapes"):
+        ad.gather_sum(Tensor(np.ones((4, 2))), [0], Tensor(np.ones((4, 3))), [0])
+    with pytest.raises(ShapeError, match="gather_sum: index shapes"):
+        ad.gather_sum(Tensor(np.ones((4, 2))), [0, 1], Tensor(np.ones((4, 2))), [0])
+    with pytest.raises(ShapeError, match="linear: incompatible shapes"):
+        ad.linear(Tensor(np.ones((3, 4))), Tensor(np.ones((5, 2))), Tensor(np.ones(2)))
+    with pytest.raises(ShapeError, match="linear: incompatible shapes"):
+        ad.linear(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2))), Tensor(np.ones(3)))
 
 
 def test_tape_double_backward_errors():

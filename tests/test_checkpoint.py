@@ -1,10 +1,14 @@
+import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wsgat.checkpoint import save_arrays, load_arrays, MAGIC
+from wsgat.pipelines import TaskModel, TrainConfig
+from wsgat.verify import random_graph
 
 
 def test_roundtrip(tmp_path):
@@ -89,3 +93,25 @@ def test_repeated_array_name_raises_value_error_naming_the_path(tmp_path):
     p.write_bytes(MAGIC + struct.pack("<I", 2) + record([1.0, 1.0]) + record([0.0, 0.0]))
     with pytest.raises(ValueError, match=re.escape(f"{p}: array 'w' stored twice")):
         load_arrays(p)
+
+
+def test_checkpoint_from_before_the_split_first_layer_scores_the_same():
+    """The data files were written by the model that built each MLP's full
+    pair input: a signed-weight TaskModel on random_graph(default_rng(5), 9,
+    0.35) with the config below, each parameter its initial value plus
+    0.3 * default_rng(8).standard_normal, drawn in sorted name order, then
+    save_arrays, and that model's outputs on nine pairs. The split model takes
+    the same names and shapes and gives the same outputs up to summation
+    order."""
+    data = Path(__file__).parent / "data"
+    g = random_graph(np.random.default_rng(5), 9, 0.35)
+    cfg = TrainConfig(layers=2, hidden=5, embed=4, heads=2, attention_hidden=6,
+                      head_hidden=7, feature_dim=4, seed=3)
+    model = TaskModel("signed-weight", g, cfg)
+    model.load_parameter_arrays(load_arrays(data / "signed_weight_2head.ckpt"))
+    expected = json.loads((data / "signed_weight_2head.json").read_text(encoding="utf-8"))
+    pairs = np.array(expected["pairs"])
+    emb = model.embeddings()
+    for output in ("existence_logits", "weight_values"):
+        got = getattr(model, output)(emb, pairs).values
+        assert np.max(np.abs(got - expected[output])) < 1e-12

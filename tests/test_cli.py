@@ -245,20 +245,21 @@ def test_verify_oracle_suite():
     assert main(["verify", "oracle"]) == 0
 
 
-def test_verify_gradcheck_fault_injection(monkeypatch):
+@pytest.mark.parametrize("op", ["matmul", "linear", "gather_sum"])
+def test_verify_gradcheck_fault_injection(monkeypatch, op):
     import wsgat.autodiff as ad
     from wsgat import verify
-    matmul = ad.matmul
+    correct = getattr(ad, op)
 
-    def matmul_wrong_backward(a, b):
-        out = matmul(a, b)
+    def wrong_backward(*args):
+        out = correct(*args)
         backward = out._backward
         out._backward = lambda g: backward(2.0 * g)
         return out
 
-    monkeypatch.setattr(ad, "matmul", matmul_wrong_backward)
-    failures = verify._gradcheck_ops()  # the model checks take seconds and see matmul too
-    assert ("autodiff", "gradcheck:matmul") in [(m, prop) for m, prop, _ in failures]
+    monkeypatch.setattr(ad, op, wrong_backward)
+    failures = verify._gradcheck_ops()  # the model checks take seconds and see the ops too
+    assert ("autodiff", f"gradcheck:{op}") in [(m, prop) for m, prop, _ in failures]
 
 
 def test_parse_config_values(tmp_path):

@@ -5,8 +5,8 @@ import wsgat.autodiff as ad
 from wsgat.autodiff import Tensor, Tape
 from wsgat.errors import ShapeError
 from wsgat.graph import SignedWeightedGraph
-from wsgat.layer import WsGatLayer, WsGatStack
-from wsgat.verify import dense_layer_reference, random_graph
+from wsgat.layer import WsGatLayer, WsGatStack, pair_features
+from wsgat.verify import dense_layer_reference, dense_mlp_reference, random_graph
 
 
 def make_layer(seed=0, in_width=4, out_width=3, **kw):
@@ -42,6 +42,37 @@ def test_logit_matches_hand_computation():
     z = feats @ w[:, 0] + 0.1
     assert z < 0  # the hidden unit takes leaky_relu's negative branch
     assert logits[0, 0] == pytest.approx(np.tanh(2.0 * 0.2 * z + 0.3), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_attention_mlp_matches_the_dense_mlp_over_pair_features(seed):
+    """The split first layer gives the logits and parameter gradients of the
+    MLP over the built (h_dst || h_src || w) matrix, up to summation order."""
+    g = random_graph(np.random.default_rng(seed), 8, 0.4)
+    layer = make_layer(seed=seed, in_width=3, attention_hidden=5)
+    mlp = layer.att[0]
+    for b in mlp.biases:  # biases start at zero, which would hide where they are added
+        b.values[:] = np.random.default_rng(seed).standard_normal(b.shape)
+    H = Tensor(np.random.default_rng(seed + 10).standard_normal((8, 3)))
+    src, dst, w = layer.edge_arrays(g)
+    fused = layer.attention_logits(0, H, g)
+    dense = dense_mlp_reference(mlp, pair_features(H, dst, src, Tensor(w[:, None])))
+    assert np.max(np.abs(fused.values - dense.values)) < 1e-12
+    grads = []
+    for out in (fused, dense):
+        ad.backward(ad.sum_(ad.mul(out, dense.values)))
+        grads.append([p.grad for p in mlp.weights + mlp.biases])
+        for p in mlp.weights + mlp.biases:
+            p.zero_grad()
+    for got, ref in zip(*grads):
+        assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_mlp_rejects_an_input_of_the_wrong_width():
+    layer = make_layer(in_width=3)
+    H = Tensor(np.ones((4, 3)))
+    with pytest.raises(ShapeError, match="Mlp expects 7 input columns, got 6"):
+        layer.att[0](H, [0, 1], [1, 2])
 
 
 def test_feature_width_mismatch_errors():

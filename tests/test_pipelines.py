@@ -1,16 +1,17 @@
 import dataclasses
+import json
 import weakref
 
 import numpy as np
 import pytest
 
-from wsgat import pipelines
+from wsgat import autodiff as ad, layer, pipelines
 from wsgat.errors import ConfigError, DegenerateTaskError
 from wsgat.graph import SignedWeightedGraph, normalize_weights, split_edges
 from wsgat.metrics import roc_auc
 from wsgat.pipelines import TaskModel, TrainConfig, _val_slice, evaluate, train
 
-from wsgat.verify import random_graph
+from wsgat.verify import dense_mlp_reference, random_graph
 
 
 def tiny_config(**kw):
@@ -49,6 +50,31 @@ def test_config_checks_itself_when_built(bad, message):
         TrainConfig(**bad)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (dict(epochs=2.5), "epochs must be int, got 2.5"),
+    (dict(hidden=4.5), "hidden must be int, got 4.5"),
+    (dict(seed=True), "seed must be int, got True"),
+    (dict(projection="no"), "projection must be bool, got 'no'"),
+    (dict(projection=1), "projection must be bool, got 1"),
+    (dict(lr="0.1"), "lr must be float, got '0.1'"),
+    (dict(lambda_weight=False), "lambda_weight must be float, got False"),
+    (dict(activation=None), "activation must be str, got None"),
+    (dict(features=1), "features must be str, got 1")])
+def test_config_checks_types_when_built(bad, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        TrainConfig(**bad)
+
+
+def test_config_takes_an_int_for_a_float_and_a_json_config():
+    cfg = TrainConfig(lr=1, self_loop_weight=-2)
+    assert type(cfg.lr) is float
+    assert cfg.digest() == TrainConfig(lr=1.0, self_loop_weight=-2.0).digest()
+    # the benchmark worker builds its config from JSON like this one
+    cfg = TrainConfig(**json.loads('{"lr": 0.003, "epochs": 4, "patience": 5, "seed": 1, '
+                                   '"heads": 2, "features": "sse", "projection": false}'))
+    assert (cfg.heads, cfg.projection, cfg.features) == (2, False, "sse")
+
+
 def test_config_is_frozen():
     cfg = TrainConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -79,6 +105,63 @@ def test_each_loss_graph_is_freed_before_the_next_forward(monkeypatch, task):
     monkeypatch.setattr(pipelines, "_train_loop", watched_train_loop)
     train(task, random_graph(np.random.default_rng(4), 12, 0.35), tiny_config(epochs=3))
     assert len(losses) == 6  # a train and a validation loss per epoch
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("task, output, head", [
+    ("sign", "sign_logits", "sign_head"),
+    ("signed-weight", "existence_logits", "exist_head"),
+    ("signed-weight", "weight_values", "weight_head")])
+def test_heads_match_the_dense_mlp_over_pair_input(task, output, head, seed):
+    model = TaskModel(task, random_graph(np.random.default_rng(seed), 12, 0.35),
+                      tiny_config(layers=2, heads=2, seed=seed))
+    # every parameter nonzero: biases start at zero, which would hide where they are added
+    rng = np.random.default_rng(seed)
+    model.load_parameter_arrays({k: v + 0.3 * rng.standard_normal(v.shape)
+                                 for k, v in model.parameter_arrays().items()})
+    emb = model.embeddings()
+    pairs = np.random.default_rng(seed).integers(0, model.graph.num_nodes, (30, 2))
+    fused = getattr(model, output)(emb, pairs).values
+    dense = dense_mlp_reference(getattr(model, head), model.pair_input(emb, pairs)).values
+    assert np.max(np.abs(fused - dense.reshape(fused.shape))) < 1e-12
+
+
+@pytest.mark.parametrize("fused", [True, False])
+@pytest.mark.parametrize("task", ["sign", "signed-weight"])
+def test_no_pair_matrix_in_a_training_loss_graph(monkeypatch, task, fused):
+    """No node of a loss graph is a pair-wide input (2*embed columns for a head,
+    2*F+1 for an attention scorer with F-wide input) over more than the node
+    rows. The dense reference of each MLP, patched in, builds them: the check
+    can fail."""
+    if not fused:
+        def dense(mlp, H, first, second, extra=None):
+            extra = () if extra is None else (extra,)
+            return dense_mlp_reference(mlp, layer.pair_features(H, first, second, *extra))
+        monkeypatch.setattr(layer.Mlp, "__call__", dense)
+        monkeypatch.setattr(pipelines.PairHead, "__call__", dense)
+    train_loop, offenders = pipelines._train_loop, []
+
+    def watched_train_loop(model, loss_fn, batches, config):
+        pair_widths = {2 * model.stack.out_width} | {2 * lay.in_width + 1
+                                                     for lay in model.stack.layers}
+        # none of the other widths in play is a pair width
+        assert not pair_widths & {model.X.shape[1], config.attention_hidden,
+                                  config.head_hidden, config.hidden * config.heads}
+
+        def watched_loss_fn(emb, batch):
+            loss = loss_fn(emb, batch)
+            offenders.extend(n.shape for n in ad.topo_order(loss) if n.values.ndim == 2
+                             and n.shape[1] in pair_widths
+                             and n.shape[0] > model.graph.num_nodes)
+            return loss
+
+        return train_loop(model, watched_loss_fn, batches, config)
+
+    monkeypatch.setattr(pipelines, "_train_loop", watched_train_loop)
+    train(task, random_graph(np.random.default_rng(4), 12, 0.35),
+          tiny_config(layers=2, heads=2, hidden=3, embed=5, feature_dim=4, attention_hidden=4,
+                      head_hidden=7, epochs=1))
+    assert bool(offenders) != fused, offenders
 
 
 def test_sign_overfit_on_balanced_toy():
