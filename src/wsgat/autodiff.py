@@ -11,15 +11,18 @@ a scalar on either side, or an (n, k) matrix on the left plus a (k,) row on
 the right (the bias, whose gradient is the column sums of g). Any other pairing
 raises ShapeError.
 
-Two fused ops serve a dense layer over pairs of node rows without building
-the pair matrix: linear(x, w, b) is x @ w + b in one node, and
-gather_sum(a, first, b, second) is a[first] + b[second] in one node. Each
-gives the bits of the unfused ops it replaces.
+Three fused ops each give the bits of the unfused ops they replace. Two serve
+a dense layer over pairs of node rows without building the pair matrix:
+linear(x, w, b) is x @ w + b in one node, and gather_sum(a, first, b, second)
+is a[first] + b[second] in one node. The third, propagate(z, alpha, src, dst, n),
+is a graph layer's message passing, alpha[k] * z[src[k]] summed into row
+dst[k], without the per-edge message matrix.
 
 Row scatters (segment_sum forward, take_rows and gather_sum backward) are one
-sparse incidence-matrix product. It sums each row's contributions in index order,
-starting from zero, so it gives the same bits as numpy.add.at. Their row indices
-must lie in [0, n); anything else raises ShapeError.
+sparse incidence-matrix product, and propagate's forward and z gradient one
+sparse product with alpha in place of the ones. Each sums a row's terms in
+index order, starting from zero, so it gives the same bits as numpy.add.at.
+Their row indices must lie in [0, n); anything else raises ShapeError.
 """
 
 from __future__ import annotations
@@ -291,6 +294,45 @@ def segment_sum(a, segments, num_segments):
         raise ShapeError(f"segment_sum: {len(segments)} segment ids for {a.shape[0]} rows")
     return _node(_scatter_add(a.values, segments, num_segments), "segment_sum",
                  (a, lambda g: g[segments]))
+
+
+# edges per chunk of propagate's alpha gradient: its gathered products then
+# take 16384 x F floats, however many edges the graph has
+_PROPAGATE_CHUNK_ROWS = 16384
+
+
+def propagate(z, alpha, src, dst, n):
+    """Message passing: row i of the result is the sum of alpha[k] * z[src[k]]
+    over k with dst[k] == i. The bits of
+    segment_sum(scale_rows(take_rows(z, src), alpha), dst, n), with no
+    per-edge message matrix kept for backward.
+
+    Forward is the n x len(z) COO matrix holding alpha[k] at (dst[k], src[k])
+    times z, and the z gradient its transpose times g: a COO product adds its
+    terms into zeroed rows in k order, as the row scatters do. The alpha
+    gradient is (g[dst] * z[src]).sum(axis=1), one chunk of edges at a time.
+    """
+    z, alpha = _as_tensor(z), _as_tensor(alpha)
+    if z.values.ndim != 2:
+        raise ShapeError(f"propagate: z must be 2-d, got shape {z.shape}")
+    src = _row_index(src, z.shape[0], "propagate")
+    dst = _row_index(dst, n, "propagate")
+    if src.ndim != 1 or not src.shape == dst.shape == alpha.shape:
+        raise ShapeError(f"propagate: {src.shape} sources, {dst.shape} destinations "
+                         f"and {alpha.shape} coefficients")
+    adjacency = sp.coo_matrix((alpha.values, (dst, src)), shape=(n, z.shape[0]))
+
+    def dalpha(g):
+        out = np.empty(len(src))
+        for lo in range(0, len(src), _PROPAGATE_CHUNK_ROWS):
+            rows = slice(lo, lo + _PROPAGATE_CHUNK_ROWS)
+            products = g[dst[rows]]
+            products *= z.values[src[rows]]
+            out[rows] = products.sum(axis=1)
+        return out
+
+    return _node(adjacency @ z.values, "propagate",
+                 (z, lambda g: adjacency.T @ g), (alpha, dalpha))
 
 
 def segment_signed_softmax(logits, segments, num_segments):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import secrets
 import struct
 
 import numpy as np
@@ -24,19 +25,30 @@ MAGIC = b"WSGT1"
 
 
 def save_arrays(path, arrays):
-    """arrays: dict name -> ndarray (stored as float64)."""
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.asarray(arrays[name]).astype("<f8", order="C", copy=False)
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<Q", dim))
-            f.write(arr.tobytes())
+    """arrays: dict name -> ndarray (stored as float64).
+
+    The file is written beside `path` under a temporary name, then renamed over
+    it, so a save that fails part-way leaves any previous checkpoint whole."""
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    # created as open(path, "wb") creates a file, so the umask sets its mode
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", len(arrays)))
+            for name in sorted(arrays):
+                arr = np.asarray(arrays[name]).astype("<f8", order="C", copy=False)
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<I", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<I", arr.ndim))
+                for dim in arr.shape:
+                    f.write(struct.pack("<Q", dim))
+                f.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_arrays(path):

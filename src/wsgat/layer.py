@@ -3,8 +3,9 @@
 Per head, the attention logit of a directed edge j->i (plus one virtual
 self-loop per node) is an MLP over (h_i || h_j || w_ij). Logits pass through
 a per-destination-node signed softmax, so coefficients live in [-1, 1] and
-their magnitudes sum to 1 per node. Aggregation scales the (optionally
-projected) source embeddings and sums them into the destination.
+their magnitudes sum to 1 per node. Aggregation is one sparse product,
+autodiff.propagate: each destination's row is the coefficient-weighted sum of
+the (optionally projected) source embeddings, with no per-edge message matrix.
 
 Mlp, which scores the edges here and the node pairs in the prediction heads,
 takes a node matrix and two index arrays and never builds the pair matrix:
@@ -144,8 +145,7 @@ class WsGatLayer:
             logits = self.attention_logits(k, H, g)
             alpha = ad.segment_signed_softmax(ad.squeeze_col(logits), dst, g.num_nodes)
             z = ad.matmul(H, self.w_out[k]) if self.projection else H
-            msgs = ad.scale_rows(ad.take_rows(z, src), alpha)
-            outs.append(ad.segment_sum(msgs, dst, g.num_nodes))
+            outs.append(ad.propagate(z, alpha, src, dst, g.num_nodes))
         if self.heads == 1:
             merged = outs[0]
         elif self.head_merge == "concat":

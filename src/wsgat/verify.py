@@ -195,6 +195,9 @@ def _gradcheck_ops():
     f = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     check("gather_sum", lambda: ad.sum_(ad.tanh(ad.gather_sum(a, idx, f, [1, 1, 0, 1]))),
           [a, f])
+    alpha = Tensor(rng.standard_normal(4), requires_grad=True)
+    check("propagate", lambda: ad.sum_(ad.tanh(ad.propagate(a, alpha, idx, [1, 0, 1, 1], 2))),
+          [a, alpha])
     return failures
 
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +143,7 @@ TWO_INPUT_OPS = {
     "scale_rows": (ad.scale_rows, (3, 4), (3,)),
     "concat": (lambda x, y: ad.concat([x, y], axis=1), (3, 4), (3, 2)),
     "gather_sum": (lambda x, y: ad.gather_sum(x, [0, 2, 2], y, [1, 1, 0]), (3, 4), (2, 4)),
+    "propagate": (lambda z, a: ad.propagate(z, a, [0, 2, 2, 1], [1, 0, 1, 1], 2), (3, 4), (4,)),
 }
 
 
@@ -227,6 +230,10 @@ def test_scatter_ops_reject_out_of_range_rows(bad):
             ad.gather_sum(a, first, a, second)
     with pytest.raises(ShapeError, match="segment_sum: index out of range"):
         ad.segment_sum(a, [0, bad, 1], 3)
+    # z has more rows than n in the second case, so each index meets its own bound
+    for z_rows, src, dst in ((3, [0, bad], [0, 1]), (4, [0, 1], [bad, 0])):
+        with pytest.raises(ShapeError, match="propagate: index out of range"):
+            ad.propagate(Tensor(np.ones((z_rows, 2))), Tensor(np.ones(2)), src, dst, 3)
     with pytest.raises(ShapeError, match="segment_signed_softmax: index out of range"):
         ad.segment_signed_softmax(Tensor([1.0, 2.0]), [0, bad], 3)
 
@@ -298,6 +305,34 @@ def test_gather_sum_gives_the_bits_of_two_take_rows_added(seed, same):
         lambda a, i, b, j: ad.add(ad.take_rows(a, i), ad.take_rows(b, j)))
 
 
+@given(st.data(), st.integers(1, 5), st.integers(0, 3), st.integers(1, 4), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_propagate_gives_the_bits_of_take_scale_segment_sum(data, n, extra_rows, width, chunk):
+    """Repeated and never-hit rows, an empty edge list, signed zeros in alpha,
+    z with more rows than n, alpha-gradient chunks shorter than the edge list,
+    and the upstream gradient arriving as a non-contiguous concat slice, as
+    the 2-head concat merge hands it."""
+    z_rows = n + extra_rows
+    m = data.draw(st.integers(0, 12))
+    src = np.array(data.draw(st.lists(st.integers(0, z_rows - 1), min_size=m, max_size=m)))
+    dst = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+    floats = st.floats(-4, 4) | st.sampled_from([0.0, -0.0])
+    z_values = data.draw(hnp.arrays(np.float64, (z_rows, width), elements=floats))
+    alpha_values = data.draw(hnp.arrays(np.float64, m, elements=floats))
+    upstream = data.draw(hnp.arrays(np.float64, (n, width + 2), elements=floats))
+
+    def run(op):
+        z, alpha = Tensor(z_values, requires_grad=True), Tensor(alpha_values, requires_grad=True)
+        out = op(z, alpha)
+        merged = ad.concat([out, Tensor(np.ones((n, 2)))], axis=1)
+        return out.values.tobytes(), _grads_after(ad.sum_(ad.mul(merged, upstream)), (z, alpha))
+
+    with mock.patch.object(ad, "_PROPAGATE_CHUNK_ROWS", chunk):
+        fused = run(lambda z, alpha: ad.propagate(z, alpha, src, dst, n))
+    assert fused == run(lambda z, alpha: ad.segment_sum(
+        ad.scale_rows(ad.take_rows(z, src), alpha), dst, n))
+
+
 def test_fused_ops_reject_mismatched_shapes():
     with pytest.raises(ShapeError, match="gather_sum: incompatible shapes"):
         ad.gather_sum(Tensor(np.ones((4, 2))), [0], Tensor(np.ones((4, 3))), [0])
@@ -307,6 +342,12 @@ def test_fused_ops_reject_mismatched_shapes():
         ad.linear(Tensor(np.ones((3, 4))), Tensor(np.ones((5, 2))), Tensor(np.ones(2)))
     with pytest.raises(ShapeError, match="linear: incompatible shapes"):
         ad.linear(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2))), Tensor(np.ones(3)))
+    for src, dst, alpha in (([0, 1], [0], 2), ([0], [0, 1], 2), ([0, 1], [0, 1], 3),
+                            ([0, 1], [0, 1], (2, 1))):
+        with pytest.raises(ShapeError, match="propagate: .* sources"):
+            ad.propagate(Tensor(np.ones((3, 2))), Tensor(np.ones(alpha)), src, dst, 3)
+    with pytest.raises(ShapeError, match="propagate: z must be 2-d"):
+        ad.propagate(Tensor(np.ones(3)), Tensor(np.ones(2)), [0, 1], [0, 1], 3)
 
 
 def test_tape_double_backward_errors():

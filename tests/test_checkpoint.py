@@ -49,6 +49,18 @@ def test_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()  # sorted by name
 
 
+def test_failed_save_leaves_the_previous_checkpoint_whole(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_arrays(p, {"a": np.arange(3.0)})
+    before = p.read_bytes()
+    # "a" is written before the lone surrogate fails to encode
+    with pytest.raises(UnicodeEncodeError):
+        save_arrays(p, {"a": np.zeros(3), "\ud800": np.ones(2)})
+    assert p.read_bytes() == before
+    assert load_arrays(p)["a"].tolist() == [0.0, 1.0, 2.0]
+    assert [q.name for q in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 def test_truncated_file_raises_value_error_naming_the_path(tmp_path):
     p = tmp_path / "m.ckpt"
     save_arrays(p, {"layer.w0": np.ones((2, 3)), "layer.b0": np.zeros(3)})

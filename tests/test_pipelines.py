@@ -164,6 +164,39 @@ def test_no_pair_matrix_in_a_training_loss_graph(monkeypatch, task, fused):
     assert bool(offenders) != fused, offenders
 
 
+@pytest.mark.parametrize("fused", [True, False])
+@pytest.mark.parametrize("task", ["sign", "signed-weight"])
+def test_no_message_matrix_in_a_training_loss_graph(monkeypatch, task, fused):
+    """No node of a loss graph has one row per edge and self-loop (E + N) and a
+    layer's out_width columns: propagate aggregates without building the
+    messages. The three-op chain it replaces, patched in, builds them: the
+    check can fail."""
+    if not fused:
+        monkeypatch.setattr(ad, "propagate", lambda z, alpha, src, dst, n: ad.segment_sum(
+            ad.scale_rows(ad.take_rows(z, src), alpha), dst, n))
+    train_loop, offenders = pipelines._train_loop, []
+
+    def watched_train_loop(model, loss_fn, batches, config):
+        edge_rows = model.graph.num_edges + model.graph.num_nodes
+        out_widths = {lay.out_width for lay in model.stack.layers}
+        # the attention scorer's (E + N)-row nodes are attention_hidden or 1 wide
+        assert not out_widths & {1, config.attention_hidden}
+
+        def watched_loss_fn(emb, batch):
+            loss = loss_fn(emb, batch)
+            offenders.extend(n.shape for n in ad.topo_order(loss) if n.values.ndim == 2
+                             and n.shape[0] == edge_rows and n.shape[1] in out_widths)
+            return loss
+
+        return train_loop(model, watched_loss_fn, batches, config)
+
+    monkeypatch.setattr(pipelines, "_train_loop", watched_train_loop)
+    train(task, random_graph(np.random.default_rng(4), 12, 0.35),
+          tiny_config(layers=2, heads=2, hidden=3, embed=5, attention_hidden=4, head_hidden=7,
+                      epochs=1))
+    assert bool(offenders) != fused, offenders
+
+
 def test_sign_overfit_on_balanced_toy():
     # overfit sanity oracle: training AUC on the fitted model's own edges
     g = random_graph(np.random.default_rng(21), 14, 0.35)
