@@ -10,6 +10,7 @@ Exit codes:
     5  numeric fault
     6  sampling exhaustion
     7  verification failure
+    8  out of memory
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ EXIT_CODES = {
     ConvergenceError: 4,
     NumericFault: 5,
     SamplingExhaustedError: 6,
+    MemoryError: 8,  # numpy's message names the array it could not allocate
 }
 
 # key -> type of its TrainConfig default; the seed comes from --seed
@@ -230,7 +232,8 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         return 1
     except tuple(EXIT_CODES) as e:
-        print(f"error: {e}", file=sys.stderr)
+        what = "out of memory: " if isinstance(e, MemoryError) else ""
+        print(f"error: {what}{e}", file=sys.stderr)
         return next(code for klass, code in EXIT_CODES.items() if isinstance(e, klass))
 
 

@@ -9,8 +9,10 @@ the (optionally projected) source embeddings, with no per-edge message matrix.
 
 Mlp, which scores the edges here and the node pairs in the prediction heads,
 takes a node matrix and two index arrays and never builds the pair matrix:
-its first layer runs over the node rows and gathers the products per pair.
-pair_features builds that matrix, as the dense reference.
+its first layer runs over the node rows (Mlp.rows) and the pair stage
+(Mlp.over_pairs) gathers those products per pair. A caller that scores many
+pairs computes the rows once and runs the pair stage a chunk of pairs at a
+time. pair_features builds the pair matrix, as the dense reference.
 """
 
 from __future__ import annotations
@@ -50,21 +52,36 @@ class Mlp:
         self.acts = [hidden_act] * (len(sizes) - 2) + [out_act]
 
     def __call__(self, H, first, second, extra=None):
-        """The MLP over row k of ``pair_features(H, first, second, extra)``.
+        """The MLP over row k of ``pair_features(H, first, second, extra)``:
+        ``over_pairs(rows(H), first, second, extra)``."""
+        width = 2 * H.shape[1] + (0 if extra is None else extra.shape[1])
+        if self.weights[0].shape[0] != width:
+            raise ShapeError(f"Mlp expects {self.weights[0].shape[0]} input columns, got {width}")
+        return self.over_pairs(self.rows(H), first, second, extra)
+
+    def rows(self, H):
+        """The first layer's products over the node rows, ``(H W_a + b0, H W_b)``.
 
         The rows of ``w0`` split into ``W_a``, ``W_b`` and ``w_c``, matching
-        the three blocks of columns, so the first layer is
-        ``(H W_a + b0)[first] + (H W_b)[second] + extra w_c``: its products
-        run over the node rows, and no pair-wide input or gradient is built.
+        the three blocks of columns of a pair's input, so the first layer of
+        pair k is ``(H W_a + b0)[first[k]] + (H W_b)[second[k]] + extra[k] w_c``.
         """
         w0, d = self.weights[0], H.shape[1]
-        width = 2 * d + (0 if extra is None else extra.shape[1])
-        if w0.shape[0] != width:
-            raise ShapeError(f"Mlp expects {w0.shape[0]} input columns, got {width}")
-        x = ad.gather_sum(ad.linear(H, ad.take_rows(w0, np.arange(d)), self.biases[0]), first,
-                          ad.matmul(H, ad.take_rows(w0, np.arange(d, 2 * d))), second)
+        if w0.shape[0] < 2 * d:
+            raise ShapeError(f"Mlp expects {w0.shape[0]} input columns, got at least {2 * d}")
+        return (ad.linear(H, ad.take_rows(w0, np.arange(d)), self.biases[0]),
+                ad.matmul(H, ad.take_rows(w0, np.arange(d, 2 * d))))
+
+    def over_pairs(self, rows, first, second, extra=None):
+        """The MLP over pairs ``(first[k], second[k])`` of the node rows ``rows``
+        from ``rows(H)``: their gathered sum, plus ``extra w_c`` (``w_c`` the
+        last ``extra.shape[1]`` rows of ``w0``), then the later layers. Only
+        this stage is pair-wide."""
+        x = ad.gather_sum(rows[0], first, rows[1], second)
         if extra is not None:
-            x = ad.add(x, ad.matmul(extra, ad.take_rows(w0, np.arange(2 * d, w0.shape[0]))))
+            w0 = self.weights[0]
+            w_c = ad.take_rows(w0, np.arange(w0.shape[0] - extra.shape[1], w0.shape[0]))
+            x = ad.add(x, ad.matmul(extra, w_c))
         for i, act in enumerate(self.acts):
             if i:
                 x = ad.linear(x, self.weights[i], self.biases[i])

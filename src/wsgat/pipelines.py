@@ -11,10 +11,18 @@ MAE over existing test links.
 
 Task "signed-weight": same as "weight" with a tanh-bounded signed weight head
 on the signed_unit scale.
+
+Every loss and every evaluation runs its heads over chunks of at most
+_PAIR_CHUNK_ROWS pairs, so a head's activations take chunk-sized memory, not
+pair-count-sized. A training loss computes the embeddings and each head's node
+rows (Mlp.rows) once; each chunk of pairs then runs the head's pair stage on
+leaf copies of those rows and is swept backward at once, and one last sweep
+carries the gradients the leaves gathered through the rows and the GNN.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -32,6 +40,10 @@ from .spectral import signed_spectral_embedding, fallback_features
 
 TASKS = ("sign", "weight", "signed-weight")
 FEATURES = ("degree_onehot_log", "sse", "random_normal")
+
+# pairs per chunk of a head: a chunk's activations then take 16384 x head_hidden
+# floats per layer, however many pairs a loss or an evaluation scores
+_PAIR_CHUNK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -117,14 +129,15 @@ class EvalReport:
 
 
 class PairHead(Mlp):
-    """MLP over pairs of node embeddings, ``head(emb, s, d)``: tanh between its
-    layers, ``out_act`` (None: linear) after the last."""
+    """MLP over pairs of node embeddings: tanh between its layers, ``out_act``
+    (None: linear) after the last. Called as ``head(rows, s, d)``, the pair
+    stage, on ``rows = head.rows(emb)`` and one chunk of pairs' two node columns."""
 
     def __init__(self, tape, prefix, sizes, out_act=None):
         super().__init__(tape, prefix, sizes, ad.tanh, out_act)
 
     # its own attribute, so a profiler can wrap the heads and not the attention MLPs
-    __call__ = Mlp.__call__
+    __call__ = Mlp.over_pairs
 
 
 class TaskModel:
@@ -178,14 +191,18 @@ class TaskModel:
         which the heads themselves never build."""
         return pair_features(emb, pairs[:, 0], pairs[:, 1])
 
+    @staticmethod
+    def _score(head, emb, pairs):
+        return head(head.rows(emb), pairs[:, 0], pairs[:, 1])
+
     def sign_logits(self, emb, pairs):
-        return self.sign_head(emb, pairs[:, 0], pairs[:, 1])
+        return self._score(self.sign_head, emb, pairs)
 
     def existence_logits(self, emb, pairs):
-        return ad.squeeze_col(self.exist_head(emb, pairs[:, 0], pairs[:, 1]))
+        return ad.squeeze_col(self._score(self.exist_head, emb, pairs))
 
     def weight_values(self, emb, pairs):
-        return ad.squeeze_col(self.weight_head(emb, pairs[:, 0], pairs[:, 1]))
+        return ad.squeeze_col(self._score(self.weight_head, emb, pairs))
 
     def parameter_arrays(self):
         return {k: v.values.copy() for k, v in self.tape.params.items()}
@@ -244,11 +261,47 @@ def _val_slice(n, frac, rng):
     return perm[n_val:], perm[:n_val]
 
 
-def _train_loop(model, loss_fn, batches, config):
+def _pair_loss(model, terms, sweep):
+    """The loss ``sum(weight * loss(head output, targets))`` over ``terms`` of
+    (head, pairs, targets, loss, weight), as a float; with ``sweep``, every
+    parameter's gradient too.
+
+    The embeddings and each head's node rows are computed once. Each chunk of
+    at most _PAIR_CHUNK_ROWS pairs runs the head on leaf copies of the rows,
+    weighted by its share of the pairs, and is swept backward and freed before
+    the next, so the leaves and the head weights gather the chunks'
+    gradients. A last sweep, seeded with sum(rows * leaf gradient), whose
+    gradient for the rows is the leaf gradient itself, carries them through
+    the rows and the GNN.
+    """
+    emb = model.embeddings()
+    rows = {head: head.rows(emb) for head, *_ in terms}
+    leaves = {head: tuple(Tensor(r.values, requires_grad=True) for r in rows[head])
+              for head in rows}
+    total = 0.0
+    for head, pairs, targets, loss, weight in terms:
+        for lo in range(0, len(pairs), _PAIR_CHUNK_ROWS):
+            part = slice(lo, lo + _PAIR_CHUNK_ROWS)
+            out = head(leaves[head], pairs[part, 0], pairs[part, 1])
+            chunk = ad.mul(loss(out, targets[part]), weight * (len(out.values) / len(pairs)))
+            if sweep:
+                ad.backward(chunk)
+            total += float(chunk.values)
+            del out, chunk  # the graph behind it must not live through the next chunk
+    if sweep:
+        # the heads' rows in order, each head's first before its second: the
+        # order in which one graph over all pairs adds their gradients
+        model.tape.backward(functools.reduce(ad.add, [
+            ad.sum_(ad.mul(r, leaf.grad)) for head in rows
+            for r, leaf in zip(rows[head], leaves[head])]))
+    return total
+
+
+def _train_loop(model, terms, batches, config):
     """Full-batch Adam with early stopping on the validation loss.
 
-    batches is (train_batch, val_batch); loss_fn(emb, batch) -> scalar Tensor.
-    Returns (epochs_run, train_loss_history).
+    batches is (train_batch, val_batch); terms(batch) gives the _pair_loss
+    terms of a batch. Returns (epochs_run, train_loss_history).
     """
     train_batch, val_batch = batches
     opt = Adam(model.tape.parameter_list(), lr=config.lr)
@@ -258,12 +311,9 @@ def _train_loop(model, loss_fn, batches, config):
     history = []
     for _ in range(config.epochs):
         model.tape.reset()
-        loss = loss_fn(model.embeddings(), train_batch)
-        model.tape.backward(loss)
+        history.append(_pair_loss(model, terms(train_batch), sweep=True))
         opt.step()
-        history.append(float(loss.values))
-        del loss  # the graph behind it must not live through the next forwards
-        val = float(loss_fn(model.embeddings(), val_batch).values)
+        val = _pair_loss(model, terms(val_batch), sweep=False)
         if val < best_val - 1e-12:
             best_val = val
             best_params = model.parameter_arrays()
@@ -284,6 +334,13 @@ def _check_hygiene(split):
         raise RuntimeError("test negatives collide with training edges")
 
 
+def _in_chunks(score, emb, pairs):
+    """``score(emb, pairs).values``, scored one chunk of at most _PAIR_CHUNK_ROWS pairs
+    at a time."""
+    return np.concatenate([score(emb, pairs[lo:lo + _PAIR_CHUNK_ROWS]).values
+                           for lo in range(0, len(pairs), _PAIR_CHUNK_ROWS)])
+
+
 def evaluate(model, split, task, dataset="unknown", epochs_run=0, wall_s=0.0):
     """Deterministic scoring of a trained model on a held-out split."""
     if task != model.task:
@@ -293,7 +350,7 @@ def evaluate(model, split, task, dataset="unknown", epochs_run=0, wall_s=0.0):
     test_w = split.test_pos[:, 2]
 
     if task == "sign":
-        logits = model.sign_logits(emb, test_pos_pairs).values
+        logits = _in_chunks(model.sign_logits, emb, test_pos_pairs)
         labels = (test_w > 0).astype(int)
         # positive-vs-negative ranking on existing links, positive-class score
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -306,10 +363,10 @@ def evaluate(model, split, task, dataset="unknown", epochs_run=0, wall_s=0.0):
     else:
         pairs = np.vstack([test_pos_pairs, split.test_neg])
         labels = np.concatenate([np.ones(len(test_pos_pairs)), np.zeros(len(split.test_neg))])
-        scores = 1.0 / (1.0 + np.exp(-model.existence_logits(emb, pairs).values))
+        scores = 1.0 / (1.0 + np.exp(-_in_chunks(model.existence_logits, emb, pairs)))
         auc = roc_auc(scores, labels)
         f1 = f1_score((scores >= 0.5).astype(int), labels.astype(int))
-        pred_w = model.weight_values(emb, test_pos_pairs).values
+        pred_w = _in_chunks(model.weight_values, emb, test_pos_pairs)
         mae = mean_absolute_error(pred_w, test_w)
         counts = {"existing": len(test_pos_pairs), "non_existing": len(split.test_neg)}
 
@@ -345,8 +402,8 @@ def train(task, g, config, dataset="unknown"):
                                  np.full(len(split.train_neg), 2)])
         batches = _val_slice(len(pairs), config.val_fraction, rng)
 
-        def loss_fn(emb, idx):
-            return cross_entropy(model.sign_logits(emb, pairs[idx]), labels[idx])
+        def terms(idx):
+            return [(model.sign_head, pairs[idx], labels[idx], cross_entropy, 1.0)]
     else:
         exist_labels = np.concatenate([np.ones(len(pos_pairs)), np.zeros(len(split.train_neg))])
         # the positive slice is drawn first; |train_neg| = |train edges|, so
@@ -355,14 +412,14 @@ def train(task, g, config, dataset="unknown"):
                      _val_slice(len(split.train_neg), config.val_fraction, rng))
         batches = [(np.concatenate([p, q + len(pos_pairs)]), p) for p, q in slices]
 
-        def loss_fn(emb, batch):
+        def terms(batch):
             idx, p = batch
-            bce = bce_with_logits(model.existence_logits(emb, pairs[idx]),
-                                  Tensor(exist_labels[idx]))
-            w_loss = mse(model.weight_values(emb, pos_pairs[p]), Tensor(tg.weight[p]))
-            return ad.add(bce, ad.mul(w_loss, config.lambda_weight))
+            return [(model.exist_head, pairs[idx], exist_labels[idx],
+                     lambda out, y: bce_with_logits(ad.squeeze_col(out), Tensor(y)), 1.0),
+                    (model.weight_head, pos_pairs[p], tg.weight[p],
+                     lambda out, y: mse(ad.squeeze_col(out), Tensor(y)), config.lambda_weight)]
 
-    epochs_run, history = _train_loop(model, loss_fn, batches, config)
+    epochs_run, history = _train_loop(model, terms, batches, config)
     report = evaluate(model, split, task, dataset=dataset,
                       epochs_run=epochs_run, wall_s=time.time() - t0)
     report.history = history

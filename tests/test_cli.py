@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import wsgat
+from wsgat import cli
 from wsgat.cli import main, parse_config
 from wsgat.graph import save_edge_list
 from wsgat.pipelines import TrainConfig
@@ -328,3 +329,16 @@ def test_sampling_exhausted_exit_code(tmp_path, tiny_cfg):
                          for i in range(3) for j in range(3) if i != j))
     assert main(["train", "sign", str(p), "--config", tiny_cfg,
                  "--out", str(tmp_path / "o")]) == 6
+
+
+def test_out_of_memory_exits_8_with_one_line(toy_tsv, tiny_cfg, tmp_path, monkeypatch, capsys):
+    message = ("Unable to allocate 5.55 GiB for an array with shape (1211575, 100) "
+               "and data type float64")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "train", out_of_memory)
+    assert main(["train", "sign", toy_tsv, "--config", tiny_cfg,
+                 "--out", str(tmp_path / "o")]) == 8
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"

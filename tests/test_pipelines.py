@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import weakref
 
@@ -89,22 +90,54 @@ def test_val_slice_without_validation_monitors_train():
     assert np.array_equal(val_idx, train_idx)
 
 
+def watch_sweeps(monkeypatch, check):
+    """Call check(model, output) on every graph ad.backward sweeps in a training
+    loss: each chunk's and the last one, through the node rows and the GNN."""
+    pair_loss, backward, models = pipelines._pair_loss, ad.backward, []
+
+    def watched_pair_loss(model, terms, sweep):
+        models.append(model)
+        return pair_loss(model, terms, sweep)
+
+    def watched_backward(output):
+        check(models[-1], output)
+        return backward(output)
+
+    monkeypatch.setattr(pipelines, "_pair_loss", watched_pair_loss)
+    monkeypatch.setattr(ad, "backward", watched_backward)
+
+
 @pytest.mark.parametrize("task", ["sign", "weight", "signed-weight"])
 def test_each_loss_graph_is_freed_before_the_next_forward(monkeypatch, task):
-    train_loop, losses = pipelines._train_loop, []
+    """Each chunk's head graph is freed before the next chunk's head runs, and
+    every graph of a loss before the next loss's forward."""
+    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 5)
+    score, embeddings = pipelines.PairHead.__call__, TaskModel.embeddings
+    chunks, losses, sweeps = [], [], []
 
-    def watched_train_loop(model, loss_fn, batches, config):
-        def watched_loss_fn(emb, batch):
-            assert all(ref() is None for ref in losses), "an earlier loss is still alive"
-            loss = loss_fn(emb, batch)
-            losses.append(weakref.ref(loss))
-            return loss
+    def watched_score(head, *args):
+        assert all(ref() is None for ref in chunks), "an earlier chunk is still alive"
+        out = score(head, *args)
+        chunks.append(weakref.ref(out))
+        return out
 
-        return train_loop(model, watched_loss_fn, batches, config)
+    def watched_embeddings(model):
+        assert all(ref() is None for ref in chunks + losses), "an earlier loss is still alive"
+        emb = embeddings(model)
+        losses.append(weakref.ref(emb))
+        return emb
 
-    monkeypatch.setattr(pipelines, "_train_loop", watched_train_loop)
+    def watched_sweep(model, output):
+        losses.append(weakref.ref(output))
+        sweeps.append(output.shape)
+
+    monkeypatch.setattr(pipelines.PairHead, "__call__", watched_score)
+    monkeypatch.setattr(TaskModel, "embeddings", watched_embeddings)
+    watch_sweeps(monkeypatch, watched_sweep)
     train(task, random_graph(np.random.default_rng(4), 12, 0.35), tiny_config(epochs=3))
-    assert len(losses) == 6  # a train and a validation loss per epoch
+    assert all(ref() is None for ref in chunks + losses)
+    assert len(losses) - len(sweeps) == 7  # a train and a validation loss per epoch, evaluate
+    assert len(sweeps) > 3 * 2  # several chunks per train loss, then the last sweep
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -129,35 +162,33 @@ def test_heads_match_the_dense_mlp_over_pair_input(task, output, head, seed):
 @pytest.mark.parametrize("fused", [True, False])
 @pytest.mark.parametrize("task", ["sign", "signed-weight"])
 def test_no_pair_matrix_in_a_training_loss_graph(monkeypatch, task, fused):
-    """No node of a loss graph is a pair-wide input (2*embed columns for a head,
-    2*F+1 for an attention scorer with F-wide input) over more than the node
-    rows. The dense reference of each MLP, patched in, builds them: the check
-    can fail."""
+    """No node of a swept graph is a pair-wide input (2*embed columns for a
+    head, 2*F+1 for an attention scorer with F-wide input) over more than the
+    node rows. The dense reference of each MLP, patched in, builds them (a
+    head's rows are then the embeddings themselves): the check can fail."""
     if not fused:
         def dense(mlp, H, first, second, extra=None):
             extra = () if extra is None else (extra,)
             return dense_mlp_reference(mlp, layer.pair_features(H, first, second, *extra))
         monkeypatch.setattr(layer.Mlp, "__call__", dense)
-        monkeypatch.setattr(pipelines.PairHead, "__call__", dense)
-    train_loop, offenders = pipelines._train_loop, []
+        monkeypatch.setattr(pipelines.PairHead, "rows", lambda head, H: (H, H))
+        monkeypatch.setattr(pipelines.PairHead, "__call__", lambda head, rows, first, second:
+                            dense_mlp_reference(head, ad.concat([ad.take_rows(rows[0], first),
+                                                                 ad.take_rows(rows[1], second)],
+                                                                axis=1)))
+    offenders = []
 
-    def watched_train_loop(model, loss_fn, batches, config):
+    def check(model, output):
         pair_widths = {2 * model.stack.out_width} | {2 * lay.in_width + 1
                                                      for lay in model.stack.layers}
         # none of the other widths in play is a pair width
-        assert not pair_widths & {model.X.shape[1], config.attention_hidden,
-                                  config.head_hidden, config.hidden * config.heads}
+        assert not pair_widths & {model.X.shape[1], model.config.attention_hidden,
+                                  model.config.head_hidden,
+                                  model.config.hidden * model.config.heads}
+        offenders.extend(n.shape for n in ad.topo_order(output) if n.values.ndim == 2
+                         and n.shape[1] in pair_widths and n.shape[0] > model.graph.num_nodes)
 
-        def watched_loss_fn(emb, batch):
-            loss = loss_fn(emb, batch)
-            offenders.extend(n.shape for n in ad.topo_order(loss) if n.values.ndim == 2
-                             and n.shape[1] in pair_widths
-                             and n.shape[0] > model.graph.num_nodes)
-            return loss
-
-        return train_loop(model, watched_loss_fn, batches, config)
-
-    monkeypatch.setattr(pipelines, "_train_loop", watched_train_loop)
+    watch_sweeps(monkeypatch, check)
     train(task, random_graph(np.random.default_rng(4), 12, 0.35),
           tiny_config(layers=2, heads=2, hidden=3, embed=5, feature_dim=4, attention_hidden=4,
                       head_hidden=7, epochs=1))
@@ -167,34 +198,110 @@ def test_no_pair_matrix_in_a_training_loss_graph(monkeypatch, task, fused):
 @pytest.mark.parametrize("fused", [True, False])
 @pytest.mark.parametrize("task", ["sign", "signed-weight"])
 def test_no_message_matrix_in_a_training_loss_graph(monkeypatch, task, fused):
-    """No node of a loss graph has one row per edge and self-loop (E + N) and a
-    layer's out_width columns: propagate aggregates without building the
+    """No node of a swept graph has one row per edge and self-loop (E + N) and
+    a layer's out_width columns: propagate aggregates without building the
     messages. The three-op chain it replaces, patched in, builds them: the
     check can fail."""
     if not fused:
         monkeypatch.setattr(ad, "propagate", lambda z, alpha, src, dst, n: ad.segment_sum(
             ad.scale_rows(ad.take_rows(z, src), alpha), dst, n))
-    train_loop, offenders = pipelines._train_loop, []
+    offenders = []
 
-    def watched_train_loop(model, loss_fn, batches, config):
+    def check(model, output):
         edge_rows = model.graph.num_edges + model.graph.num_nodes
         out_widths = {lay.out_width for lay in model.stack.layers}
         # the attention scorer's (E + N)-row nodes are attention_hidden or 1 wide
-        assert not out_widths & {1, config.attention_hidden}
+        assert not out_widths & {1, model.config.attention_hidden}
+        offenders.extend(n.shape for n in ad.topo_order(output) if n.values.ndim == 2
+                         and n.shape[0] == edge_rows and n.shape[1] in out_widths)
 
-        def watched_loss_fn(emb, batch):
-            loss = loss_fn(emb, batch)
-            offenders.extend(n.shape for n in ad.topo_order(loss) if n.values.ndim == 2
-                             and n.shape[0] == edge_rows and n.shape[1] in out_widths)
-            return loss
-
-        return train_loop(model, watched_loss_fn, batches, config)
-
-    monkeypatch.setattr(pipelines, "_train_loop", watched_train_loop)
+    watch_sweeps(monkeypatch, check)
     train(task, random_graph(np.random.default_rng(4), 12, 0.35),
           tiny_config(layers=2, heads=2, hidden=3, embed=5, attention_hidden=4, head_hidden=7,
                       epochs=1))
     assert bool(offenders) != fused, offenders
+
+
+@pytest.mark.parametrize("task", ["sign", "weight", "signed-weight"])
+def test_no_head_activation_wider_than_a_chunk_in_a_swept_graph(monkeypatch, task):
+    """With chunks of 4 pairs, no head_hidden-wide activation of a swept graph
+    has more than 4 rows, apart from the node rows each head computes once.
+    The first layer's weight blocks are embed = 3 rows high."""
+    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 4, raising=False)
+    offenders = []
+
+    def check(model, output):
+        hidden = model.config.head_hidden
+        assert hidden not in {model.X.shape[1], model.config.attention_hidden,
+                              model.config.embed, model.config.hidden * model.config.heads}
+        offenders.extend(n.shape for n in ad.topo_order(output) if n.parents
+                         and n.values.ndim == 2 and n.shape[1] == hidden
+                         and 4 < n.shape[0] != model.graph.num_nodes)
+
+    watch_sweeps(monkeypatch, check)
+    train(task, random_graph(np.random.default_rng(4), 12, 0.35),
+          tiny_config(layers=2, heads=2, hidden=3, embed=3, feature_dim=4, attention_hidden=4,
+                      head_hidden=7, epochs=1))
+    assert not offenders, offenders
+
+
+def loss_and_gradients(monkeypatch, task, chunk_rows):
+    """The train-batch loss, its parameter gradients and the validation loss of
+    a fresh two-head model on a toy graph: through _pair_loss with
+    _PAIR_CHUNK_ROWS = chunk_rows, and through one graph over every pair."""
+    captured = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(model, terms, batches, config):
+        captured.append((model, terms, batches))
+        raise Captured
+
+    monkeypatch.setattr(pipelines, "_train_loop", capture)
+    with pytest.raises(Captured):
+        train(task, random_graph(np.random.default_rng(4), 12, 0.35),
+              tiny_config(layers=2, heads=2, head_hidden=9))
+    model, terms, (train_batch, val_batch) = captured[0]
+    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", chunk_rows)
+    model.tape.reset()
+    loss = pipelines._pair_loss(model, terms(train_batch), sweep=True)
+    chunked = (loss, [p.grad for p in model.tape.parameter_list()],
+               pipelines._pair_loss(model, terms(val_batch), sweep=False))
+
+    def one_graph(batch):
+        emb = model.embeddings()
+        return functools.reduce(ad.add, [
+            ad.mul(loss(layer.Mlp.__call__(head, emb, pairs[:, 0], pairs[:, 1]), targets), weight)
+            for head, pairs, targets, loss, weight in terms(batch)])
+
+    model.tape.reset()
+    loss = one_graph(train_batch)
+    model.tape.backward(loss)
+    whole = (float(loss.values), [p.grad for p in model.tape.parameter_list()],
+             float(one_graph(val_batch).values))
+    return chunked, whole, len(terms(train_batch)[0][1])
+
+
+@pytest.mark.parametrize("task", ["sign", "weight", "signed-weight"])
+def test_chunked_loss_matches_one_graph_over_all_pairs(monkeypatch, task):
+    (loss, grads, val), (ref_loss, ref_grads, ref_val), n = loss_and_gradients(
+        monkeypatch, task, 5)
+    assert n > 5 * 3  # several chunks
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+    assert val == pytest.approx(ref_val, rel=1e-12, abs=0)
+    assert len(grads) == len(ref_grads) and all(g is not None for g in grads)
+    for got, ref in zip(grads, ref_grads):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("task", ["sign", "weight", "signed-weight"])
+def test_one_chunk_loss_is_bit_equal_to_one_graph(monkeypatch, task):
+    (loss, grads, val), (ref_loss, ref_grads, ref_val), n = loss_and_gradients(
+        monkeypatch, task, 16384)
+    assert n <= 16384
+    assert (loss, val) == (ref_loss, ref_val)
+    assert all(np.array_equal(got, ref) for got, ref in zip(grads, ref_grads))
 
 
 def test_sign_overfit_on_balanced_toy():
