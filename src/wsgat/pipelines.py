@@ -12,11 +12,11 @@ MAE over existing test links.
 Task "signed-weight": same as "weight" with a tanh-bounded signed weight head
 on the signed_unit scale.
 
-Every loss and every evaluation runs its heads over chunks of at most
-_PAIR_CHUNK_ROWS pairs, so a head's activations take chunk-sized memory, not
-pair-count-sized. A training loss computes the embeddings and each head's node
-rows (Mlp.rows) once; each chunk of pairs then runs the head's pair stage on
-leaf copies of those rows and is swept backward at once, and one last sweep
+Every loss and every evaluation computes the embeddings and each head's node
+rows (Mlp.rows) once, then runs the head's pair stage over chunks of at most
+_PAIR_CHUNK_ROWS pairs (_head_chunks), so a head's activations take
+chunk-sized memory, not pair-count-sized. A training loss runs the chunks on
+leaf copies of the rows and sweeps each backward at once; one last sweep
 carries the gradients the leaves gathered through the rows and the GNN.
 """
 
@@ -191,19 +191,6 @@ class TaskModel:
         which the heads themselves never build."""
         return pair_features(emb, pairs[:, 0], pairs[:, 1])
 
-    @staticmethod
-    def _score(head, emb, pairs):
-        return head(head.rows(emb), pairs[:, 0], pairs[:, 1])
-
-    def sign_logits(self, emb, pairs):
-        return self._score(self.sign_head, emb, pairs)
-
-    def existence_logits(self, emb, pairs):
-        return ad.squeeze_col(self._score(self.exist_head, emb, pairs))
-
-    def weight_values(self, emb, pairs):
-        return ad.squeeze_col(self._score(self.weight_head, emb, pairs))
-
     def parameter_arrays(self):
         return {k: v.values.copy() for k, v in self.tape.params.items()}
 
@@ -261,6 +248,15 @@ def _val_slice(n, frac, rng):
     return perm[n_val:], perm[:n_val]
 
 
+def _head_chunks(head, rows, pairs):
+    """``(part, head(rows, s, d))`` for each slice ``part`` of at most
+    _PAIR_CHUNK_ROWS of ``pairs``, ``s`` and ``d`` its two node columns. The
+    caller drops each output before asking for the next."""
+    for lo in range(0, len(pairs), _PAIR_CHUNK_ROWS):
+        part = slice(lo, lo + _PAIR_CHUNK_ROWS)
+        yield part, head(rows, pairs[part, 0], pairs[part, 1])
+
+
 def _pair_loss(model, terms, sweep):
     """The loss ``sum(weight * loss(head output, targets))`` over ``terms`` of
     (head, pairs, targets, loss, weight), as a float; with ``sweep``, every
@@ -280,9 +276,7 @@ def _pair_loss(model, terms, sweep):
               for head in rows}
     total = 0.0
     for head, pairs, targets, loss, weight in terms:
-        for lo in range(0, len(pairs), _PAIR_CHUNK_ROWS):
-            part = slice(lo, lo + _PAIR_CHUNK_ROWS)
-            out = head(leaves[head], pairs[part, 0], pairs[part, 1])
+        for part, out in _head_chunks(head, leaves[head], pairs):
             chunk = ad.mul(loss(out, targets[part]), weight * (len(out.values) / len(pairs)))
             if sweep:
                 ad.backward(chunk)
@@ -334,11 +328,14 @@ def _check_hygiene(split):
         raise RuntimeError("test negatives collide with training edges")
 
 
-def _in_chunks(score, emb, pairs):
-    """``score(emb, pairs).values``, scored one chunk of at most _PAIR_CHUNK_ROWS pairs
-    at a time."""
-    return np.concatenate([score(emb, pairs[lo:lo + _PAIR_CHUNK_ROWS]).values
-                           for lo in range(0, len(pairs), _PAIR_CHUNK_ROWS)])
+def _head_values(head, emb, pairs):
+    """The head's output over ``pairs`` as an array, one row per pair; its node
+    rows are computed once for all chunks."""
+    values = []
+    for _, out in _head_chunks(head, head.rows(emb), pairs):
+        values.append(out.values)
+        del out  # the chunk's graph must not live through the next chunk's head
+    return np.concatenate(values)
 
 
 def evaluate(model, split, task, dataset="unknown", epochs_run=0, wall_s=0.0):
@@ -350,7 +347,7 @@ def evaluate(model, split, task, dataset="unknown", epochs_run=0, wall_s=0.0):
     test_w = split.test_pos[:, 2]
 
     if task == "sign":
-        logits = _in_chunks(model.sign_logits, emb, test_pos_pairs)
+        logits = _head_values(model.sign_head, emb, test_pos_pairs)
         labels = (test_w > 0).astype(int)
         # positive-vs-negative ranking on existing links, positive-class score
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -363,10 +360,10 @@ def evaluate(model, split, task, dataset="unknown", epochs_run=0, wall_s=0.0):
     else:
         pairs = np.vstack([test_pos_pairs, split.test_neg])
         labels = np.concatenate([np.ones(len(test_pos_pairs)), np.zeros(len(split.test_neg))])
-        scores = 1.0 / (1.0 + np.exp(-_in_chunks(model.existence_logits, emb, pairs)))
+        scores = 1.0 / (1.0 + np.exp(-_head_values(model.exist_head, emb, pairs)[:, 0]))
         auc = roc_auc(scores, labels)
         f1 = f1_score((scores >= 0.5).astype(int), labels.astype(int))
-        pred_w = _in_chunks(model.weight_values, emb, test_pos_pairs)
+        pred_w = _head_values(model.weight_head, emb, test_pos_pairs)[:, 0]
         mae = mean_absolute_error(pred_w, test_w)
         counts = {"existing": len(test_pos_pairs), "non_existing": len(split.test_neg)}
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, Tape
 from .graph import SignedWeightedGraph
-from .layer import WsGatLayer, WsGatStack
+from .layer import Mlp, WsGatLayer, WsGatStack
 from .metrics import roc_auc, f1_score, mean_absolute_error
 from .pipelines import TaskModel, TrainConfig, cross_entropy, bce_with_logits
 from .spectral import signed_spectral_embedding, _signed_adjacency
@@ -210,14 +210,14 @@ def _gradcheck_models():
                           head_hidden=8, features="random_normal", feature_dim=4,
                           seed=trial)
         model = TaskModel("signed-weight", g, cfg)
-        pairs = np.column_stack([g.src, g.dst])
         target = Tensor(g.weight)
 
         def model_loss():
             emb = model.embeddings()
-            ex = bce_with_logits(model.existence_logits(emb, pairs),
-                                 Tensor(np.ones(len(pairs))))
-            diff = ad.sub(model.weight_values(emb, pairs), target)
+            ex = bce_with_logits(ad.squeeze_col(Mlp.__call__(model.exist_head, emb, g.src, g.dst)),
+                                 Tensor(np.ones(g.num_edges)))
+            diff = ad.sub(ad.squeeze_col(Mlp.__call__(model.weight_head, emb, g.src, g.dst)),
+                          target)
             return ad.add(ex, ad.mean_(ad.mul(diff, diff)))
 
         # resample if any attention logit is near the signed-softmax kink

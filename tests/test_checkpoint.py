@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wsgat.checkpoint import save_arrays, load_arrays, MAGIC
+from wsgat import pipelines
 from wsgat.pipelines import TaskModel, TrainConfig
 from wsgat.verify import random_graph
 
@@ -124,6 +125,6 @@ def test_checkpoint_from_before_the_split_first_layer_scores_the_same():
     expected = json.loads((data / "signed_weight_2head.json").read_text(encoding="utf-8"))
     pairs = np.array(expected["pairs"])
     emb = model.embeddings()
-    for output in ("existence_logits", "weight_values"):
-        got = getattr(model, output)(emb, pairs).values
+    for head, output in (("exist_head", "existence_logits"), ("weight_head", "weight_values")):
+        got = pipelines._head_values(getattr(model, head), emb, pairs)[:, 0]
         assert np.max(np.abs(got - expected[output])) < 1e-12

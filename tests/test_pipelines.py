@@ -141,11 +141,9 @@ def test_each_loss_graph_is_freed_before_the_next_forward(monkeypatch, task):
 
 
 @pytest.mark.parametrize("seed", range(2))
-@pytest.mark.parametrize("task, output, head", [
-    ("sign", "sign_logits", "sign_head"),
-    ("signed-weight", "existence_logits", "exist_head"),
-    ("signed-weight", "weight_values", "weight_head")])
-def test_heads_match_the_dense_mlp_over_pair_input(task, output, head, seed):
+@pytest.mark.parametrize("task, head", [
+    ("sign", "sign_head"), ("signed-weight", "exist_head"), ("signed-weight", "weight_head")])
+def test_heads_match_the_dense_mlp_over_pair_input(task, head, seed):
     model = TaskModel(task, random_graph(np.random.default_rng(seed), 12, 0.35),
                       tiny_config(layers=2, heads=2, seed=seed))
     # every parameter nonzero: biases start at zero, which would hide where they are added
@@ -154,9 +152,9 @@ def test_heads_match_the_dense_mlp_over_pair_input(task, output, head, seed):
                                  for k, v in model.parameter_arrays().items()})
     emb = model.embeddings()
     pairs = np.random.default_rng(seed).integers(0, model.graph.num_nodes, (30, 2))
-    fused = getattr(model, output)(emb, pairs).values
+    fused = pipelines._head_values(getattr(model, head), emb, pairs)
     dense = dense_mlp_reference(getattr(model, head), model.pair_input(emb, pairs)).values
-    assert np.max(np.abs(fused - dense.reshape(fused.shape))) < 1e-12
+    assert np.max(np.abs(fused - dense)) < 1e-12
 
 
 @pytest.mark.parametrize("fused", [True, False])
@@ -227,7 +225,7 @@ def test_no_head_activation_wider_than_a_chunk_in_a_swept_graph(monkeypatch, tas
     """With chunks of 4 pairs, no head_hidden-wide activation of a swept graph
     has more than 4 rows, apart from the node rows each head computes once.
     The first layer's weight blocks are embed = 3 rows high."""
-    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 4, raising=False)
+    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 4)
     offenders = []
 
     def check(model, output):
@@ -304,6 +302,33 @@ def test_one_chunk_loss_is_bit_equal_to_one_graph(monkeypatch, task):
     assert all(np.array_equal(got, ref) for got, ref in zip(grads, ref_grads))
 
 
+@pytest.mark.parametrize("task, heads", [("sign", 1), ("weight", 2), ("signed-weight", 2)])
+def test_chunked_evaluate_matches_one_chunk_and_computes_rows_once(monkeypatch, task, heads):
+    """evaluate over chunks of 5 pairs gives the one-chunk report, and computes
+    each head's node rows once however many chunks it scores."""
+    splits, calls, rows = [], [], pipelines.PairHead.rows
+
+    def watched_evaluate(model, split, *args, **kw):
+        splits.append(split)
+        return evaluate(model, split, *args, **kw)
+
+    def watched_rows(head, H):
+        calls.append(head)
+        return rows(head, H)
+
+    monkeypatch.setattr(pipelines, "evaluate", watched_evaluate)
+    model, _ = train(task, random_graph(np.random.default_rng(4), 14, 0.35),
+                     tiny_config(epochs=5))
+    split = splits[0]
+    monkeypatch.setattr(pipelines.PairHead, "rows", watched_rows)
+    whole = evaluate(model, split, task)
+    assert len(calls) == heads
+    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 5)
+    assert len(split.test_pos) > 5  # several chunks of every head
+    assert evaluate(model, split, task) == whole
+    assert len(calls) == 2 * heads
+
+
 def test_sign_overfit_on_balanced_toy():
     # overfit sanity oracle: training AUC on the fitted model's own edges
     g = random_graph(np.random.default_rng(21), 14, 0.35)
@@ -312,7 +337,7 @@ def test_sign_overfit_on_balanced_toy():
     tg = model.graph
     pairs = np.column_stack([tg.src, tg.dst])
     labels = (tg.weight > 0).astype(int)
-    logits = model.sign_logits(model.embeddings(), pairs).values
+    logits = pipelines._head_values(model.sign_head, model.embeddings(), pairs)
     p = np.exp(logits - logits.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     assert roc_auc(p[:, 0], labels) >= 0.99
@@ -331,7 +356,7 @@ def test_weight_regression_to_constant():
     model, report = train("weight", g, tiny_config(epochs=150, patience=150, val_fraction=0.0))
     tg = model.graph
     pairs = np.column_stack([tg.src, tg.dst])
-    pred = model.weight_values(model.embeddings(), pairs).values
+    pred = pipelines._head_values(model.weight_head, model.embeddings(), pairs)[:, 0]
     # unit_abs normalization maps the constant 0.7 to 1.0
     assert np.mean(np.abs(pred - tg.weight)) < 0.05
     assert report.mae is not None
@@ -343,7 +368,7 @@ def test_signed_weight_sign_consistency_on_toy():
     model, _ = train("signed-weight", g, cfg)
     tg = model.graph
     pairs = np.column_stack([tg.src, tg.dst])
-    pred = model.weight_values(model.embeddings(), pairs).values
+    pred = pipelines._head_values(model.weight_head, model.embeddings(), pairs)[:, 0]
     agree = np.mean(np.sign(pred) == np.sign(tg.weight))
     assert agree >= 0.90
 
@@ -417,8 +442,22 @@ def test_report_serialization_roundtrip():
     assert len(row) == 6
 
 
+class StubHead:
+    """Stands in for a width-1 PairHead in evaluate(): its output on pair
+    (s, d) is fn(s, d), whatever the node rows."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def rows(self, emb):
+        return None
+
+    def __call__(self, rows, first, second):
+        return ad.Tensor(np.array([[self.fn(int(s), int(d))] for s, d in zip(first, second)]))
+
+
 class StubModel:
-    """Stands in for TaskModel in evaluate(); scores are injected functions."""
+    """Stands in for TaskModel in evaluate(); the heads' scores are injected functions."""
 
     class _Cfg:
         def digest(self):
@@ -427,25 +466,11 @@ class StubModel:
     def __init__(self, task, exist_fn, weight_fn=None):
         self.task = task
         self.config = self._Cfg()
-        self._exist_fn = exist_fn
-        self._weight_fn = weight_fn
+        self.exist_head = StubHead(exist_fn)
+        self.weight_head = StubHead(weight_fn)
 
     def embeddings(self):
         return None
-
-    def existence_logits(self, emb, pairs):
-        class T:
-            pass
-        t = T()
-        t.values = np.array([self._exist_fn(int(s), int(d)) for s, d in pairs])
-        return t
-
-    def weight_values(self, emb, pairs):
-        class T:
-            pass
-        t = T()
-        t.values = np.array([self._weight_fn(int(s), int(d)) for s, d in pairs])
-        return t
 
 
 def make_split():
