@@ -33,8 +33,8 @@ from .errors import (
     SamplingExhaustedError,
     UndefinedMetricError,
 )
-from .graph import load_edge_list, save_edge_list
-from .pipelines import TASKS, TrainConfig, train
+from .graph import FORMATS, load_edge_list, save_edge_list
+from .pipelines import TASKS, EvalReport, TrainConfig, csv_row, train
 
 EXIT_CODES = {
     GraphParseError: 2,
@@ -57,7 +57,7 @@ BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def parse_config(path=None):
-    """Flat 'key = value' text config; '#' comments; unknown keys rejected."""
+    """Flat 'key = value' text config; '#' comments; unknown and repeated keys rejected."""
     if not path:
         return TrainConfig()
     try:
@@ -65,7 +65,7 @@ def parse_config(path=None):
             lines = f.readlines()
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
-    values = {}
+    values, seen = {}, {}  # key -> value, key -> line number
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -76,6 +76,9 @@ def parse_config(path=None):
         if k not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {k!r} "
                               f"(known: {sorted(CONFIG_KEYS)})")
+        if k in seen:
+            raise ConfigError(f"{path}:{lineno}: {k} given twice, on lines {seen[k]} and {lineno}")
+        seen[k] = lineno
         kind = CONFIG_KEYS[k]
         try:
             values[k] = BOOL_WORDS[v.lower()] if kind is bool else kind(v)
@@ -115,7 +118,7 @@ def cmd_train(args):
     write_header = not os.path.exists(csv_path)
     with open(csv_path, "a", encoding="utf-8") as f:
         if write_header:
-            f.write("task,dataset,seed,auc,f1,mae\n")
+            f.write(csv_row(EvalReport.CSV_HEADER) + "\n")
         f.write(report.to_csv_row() + "\n")
     mae = "-" if report.mae is None else f"{report.mae:.4f}"
     print(f"{args.task} {dataset} seed={args.seed}: "
@@ -188,7 +191,7 @@ def build_parser():
 
     pi = sub.add_parser("ingest", help="parse a raw edge list into canonical tsv3")
     pi.add_argument("source", help="raw edge list file")
-    pi.add_argument("--format", choices=["tsv3", "csv4"], default=None,
+    pi.add_argument("--format", choices=FORMATS, default=None,
                     help="default: csv4 for a .csv file, else tsv3")
     pi.add_argument("--name", default=None, help="output dataset name")
     pi.add_argument("--symmetrize", action="store_true", help="emit both arcs per input line")
@@ -198,7 +201,7 @@ def build_parser():
     pt = sub.add_parser("train", help="train one task on one graph")
     pt.add_argument("task", choices=list(TASKS))
     pt.add_argument("graph", help="graph file")
-    pt.add_argument("--format", choices=["tsv3", "csv4"], default=None,
+    pt.add_argument("--format", choices=FORMATS, default=None,
                     help="default: csv4 for a .csv file, else tsv3")
     pt.add_argument("--config", default=None, help="flat key = value config file")
     pt.add_argument("--seed", type=_int_at_least(0), default=0)

@@ -10,6 +10,8 @@ import numpy as np
 
 from .errors import ConfigError, EmptyGraphError, GraphParseError, SamplingExhaustedError
 
+FORMATS = ("tsv3", "csv4")  # edge list formats load_edge_list reads
+
 
 def pair_keys(src, dst, num_nodes):
     """int64 key ``src * num_nodes + dst`` per ordered pair; keys sort like (src, dst)."""
@@ -45,6 +47,8 @@ class SignedWeightedGraph:
             raise ValueError("edge weights must be finite and nonzero")
         if len(np.unique(pair_keys(src, dst, num_nodes))) != len(src):
             raise ValueError("duplicate (src, dst) pairs")
+        if len(node_labels) not in (0, num_nodes):
+            raise ValueError(f"{len(node_labels)} node labels for {num_nodes} nodes")
         g = SignedWeightedGraph(num_nodes, src, dst, weight, tuple(node_labels))
         for arr in (g.src, g.dst, g.weight):
             arr.setflags(write=False)
@@ -82,7 +86,7 @@ def load_edge_list(path, fmt=None, symmetrize=False):
     """
     if fmt is None:
         fmt = "csv4" if os.fspath(path).endswith(".csv") else "tsv3"
-    if fmt not in ("tsv3", "csv4"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
 
     raw = []  # (src_label, dst_label, weight) in file order

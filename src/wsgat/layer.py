@@ -17,6 +17,8 @@ time. pair_features builds the pair matrix, as the dense reference.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -100,34 +102,30 @@ class WsGatLayer:
     """One multi-head signed/weighted attention layer.
 
     in_width F_k -> out_width F_{k+1} per head; head_merge 'concat' makes the
-    layer output H*F_{k+1} wide, 'mean' keeps it F_{k+1}. With
-    projection=False the raw source embeddings are aggregated (out_width is
-    then forced to in_width).
+    layer output H*F_{k+1} wide, 'mean' keeps it F_{k+1}. The other settings
+    come from ``config``, a ``pipelines.TrainConfig``; without its projection
+    the raw source embeddings are aggregated (out_width is then in_width).
     """
 
-    def __init__(self, tape, prefix, in_width, out_width, heads=1, head_merge="concat",
-                 attention_hidden=32, activation="elu", self_loop_weight=1.0,
-                 projection=True):
+    def __init__(self, tape, prefix, in_width, out_width, config, head_merge="concat"):
         if head_merge not in ("concat", "mean"):
             raise ValueError(f"unknown head_merge {head_merge!r}")
-        if heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {heads}")
-        if not projection:
+        if not config.projection:
             out_width = in_width
         self.in_width, self.out_width = in_width, out_width
-        self.heads = heads
+        self.heads = config.heads
         self.head_merge = head_merge
-        self.self_loop_weight = float(self_loop_weight)
-        self.projection = projection
-        self.f = _activation(activation)
+        self.self_loop_weight = config.self_loop_weight
+        self.projection = config.projection
+        self.f = _activation(config.activation)
         self.att = [
-            Mlp(tape, f"{prefix}.h{k}.att", [2 * in_width + 1, attention_hidden, 1],
+            Mlp(tape, f"{prefix}.h{k}.att", [2 * in_width + 1, config.attention_hidden, 1],
                 ad.leaky_relu, ad.tanh)
-            for k in range(heads)
+            for k in range(self.heads)
         ]
         self.w_out = [
-            tape.glorot(f"{prefix}.h{k}.w_out", (in_width, out_width)) if projection else None
-            for k in range(heads)
+            tape.glorot(f"{prefix}.h{k}.w_out", (in_width, out_width)) if self.projection else None
+            for k in range(self.heads)
         ]
 
     @property
@@ -168,33 +166,22 @@ class WsGatLayer:
         elif self.head_merge == "concat":
             merged = ad.concat(outs, axis=1)
         else:
-            acc = outs[0]
-            for o in outs[1:]:
-                acc = ad.add(acc, o)
-            merged = ad.mul(acc, 1.0 / self.heads)
+            merged = ad.mul(functools.reduce(ad.add, outs), 1.0 / self.heads)
         return self.f(merged)
 
 
 class WsGatStack:
-    """Sequential wsGAT layers; zero layers returns the input unchanged."""
+    """``config.layers`` wsGAT layers of a ``pipelines.TrainConfig``: the hidden
+    ones concatenate their heads, the last averages them. Zero layers returns
+    the input unchanged."""
 
-    def __init__(self, tape, in_width, hidden_width=64, out_width=64, num_layers=2,
-                 heads=1, attention_hidden=32, activation="elu",
-                 self_loop_weight=1.0, projection=True):
+    def __init__(self, tape, in_width, config):
         self.layers = []
         width = in_width
-        for i in range(num_layers):
-            last = i == num_layers - 1
-            layer = WsGatLayer(
-                tape, f"gnn{i}", width,
-                out_width if last else hidden_width,
-                heads=heads,
-                head_merge="mean" if last else "concat",
-                attention_hidden=attention_hidden,
-                activation=activation,
-                self_loop_weight=self_loop_weight,
-                projection=projection,
-            )
+        for i in range(config.layers):
+            last = i == config.layers - 1
+            layer = WsGatLayer(tape, f"gnn{i}", width, config.embed if last else config.hidden,
+                               config, "mean" if last else "concat")
             self.layers.append(layer)
             width = layer.merged_width
         self.out_width = width

@@ -22,8 +22,10 @@ carries the gradients the leaves gathered through the rows and the GNN.
 
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
+import io
 import json
 import time
 from dataclasses import dataclass, fields, asdict
@@ -105,8 +107,17 @@ class TrainConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def csv_row(values):
+    """``values`` as one CSV line without its newline, quoted where a value needs it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(values)
+    return buf.getvalue()[:-1]
+
+
 @dataclass
 class EvalReport:
+    CSV_HEADER = ("task", "dataset", "seed", "auc", "f1", "mae")  # to_csv_row's columns
+
     task: str
     dataset: str
     seed: int
@@ -125,7 +136,8 @@ class EvalReport:
 
     def to_csv_row(self):
         mae = "" if self.mae is None else f"{self.mae:.6f}"
-        return f"{self.task},{self.dataset},{self.seed},{self.roc_auc:.6f},{self.f1:.6f},{mae}"
+        return csv_row([self.task, self.dataset, self.seed, f"{self.roc_auc:.6f}",
+                        f"{self.f1:.6f}", mae])
 
 
 class PairHead(Mlp):
@@ -151,15 +163,7 @@ class TaskModel:
         self.graph = g_train
         self.X = Tensor(self._features(g_train, config))
         self.tape = Tape(seed=config.seed)
-        self.stack = WsGatStack(
-            self.tape, self.X.shape[1],
-            hidden_width=config.hidden, out_width=config.embed,
-            num_layers=config.layers, heads=config.heads,
-            attention_hidden=config.attention_hidden,
-            activation=config.activation,
-            self_loop_weight=config.self_loop_weight,
-            projection=config.projection,
-        )
+        self.stack = WsGatStack(self.tape, self.X.shape[1], config)
         sizes = [2 * self.stack.out_width] + [config.head_hidden] * (config.head_layers - 1)
         if task == "sign":
             self.sign_head = PairHead(self.tape, "sign_head", sizes + [3])

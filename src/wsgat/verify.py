@@ -245,8 +245,8 @@ def _suite_oracle():
         n = int(rng.integers(3, 11))
         g = random_graph(rng, n)
         tape = Tape(seed=trial)
-        layer = WsGatLayer(tape, "l", 4, 3, heads=int(rng.integers(1, 3)),
-                           head_merge="concat", attention_hidden=5)
+        layer = WsGatLayer(tape, "l", 4, 3,
+                           TrainConfig(heads=int(rng.integers(1, 3)), attention_hidden=5))
         H = rng.standard_normal((n, 4))
         sparse = layer.forward(Tensor(H), g).values
         dense = dense_layer_reference(layer, H, g)
@@ -271,7 +271,7 @@ def _suite_oracle():
     # stack dense equivalence
     g = random_graph(np.random.default_rng(3), 7)
     tape = Tape(seed=5)
-    stack = WsGatStack(tape, 4, hidden_width=3, out_width=3, num_layers=2, heads=2)
+    stack = WsGatStack(tape, 4, TrainConfig(hidden=3, embed=3, heads=2))
     H = np.random.default_rng(6).standard_normal((7, 4))
     got = stack.forward(Tensor(H), g).values
     ref = H
@@ -284,7 +284,7 @@ def _suite_oracle():
     rng = np.random.default_rng(21)
     g = random_graph(rng, 6)
     tape = Tape(seed=9)
-    layer = WsGatLayer(tape, "l", 3, 3, heads=1)
+    layer = WsGatLayer(tape, "l", 3, 3, TrainConfig())
     H = rng.standard_normal((6, 3))
     perm = rng.permutation(6)
     inv = np.argsort(perm)
@@ -300,7 +300,7 @@ def _suite_oracle():
         gp = SignedWeightedGraph.from_edges(2, [0], [1], [0.8])
         gm = SignedWeightedGraph.from_edges(2, [0], [1], [-0.8])
         tape = Tape(seed=40 + trial)
-        layer = WsGatLayer(tape, "l", 3, 3)
+        layer = WsGatLayer(tape, "l", 3, 3, TrainConfig())
         first = layer.att[0].weights[0].values
         if abs(first[-1]).max() < 1e-9:
             continue  # measure-zero init, resample

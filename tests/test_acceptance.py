@@ -76,8 +76,8 @@ def test_criterion_2_dense_oracle_equivalence():
         g = verify.random_graph(rng, n)
         heads = int(rng.integers(1, 4))
         merge = "concat" if trial % 2 == 0 else "mean"
-        layer = WsGatLayer(Tape(seed=trial), "l", 4, 3, heads=heads, head_merge=merge,
-                           attention_hidden=6)
+        layer = WsGatLayer(Tape(seed=trial), "l", 4, 3,
+                           TrainConfig(heads=heads, attention_hidden=6), merge)
         H = rng.standard_normal((n, 4))
         sparse = layer.forward(Tensor(H), g).values
         dense = verify.dense_layer_reference(layer, H, g)
@@ -94,7 +94,7 @@ def test_criterion_3_attention_invariants():
     for trial in range(100):
         n = int(rng.integers(2, 11))
         g = verify.random_graph(rng, n)
-        layer = WsGatLayer(Tape(seed=trial), "l", 3, 3, attention_hidden=5)
+        layer = WsGatLayer(Tape(seed=trial), "l", 3, 3, TrainConfig(attention_hidden=5))
         H = Tensor(rng.standard_normal((n, 3)))
         logits = layer.attention_logits(0, H, g)
         alpha = layer.attention_coefficients(0, logits, g).values

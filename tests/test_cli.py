@@ -10,6 +10,7 @@ import pytest
 import wsgat
 from wsgat import cli
 from wsgat.cli import main, parse_config
+from wsgat.errors import ConfigError
 from wsgat.graph import save_edge_list
 from wsgat.pipelines import TrainConfig
 
@@ -282,6 +283,13 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config(str(p))
 
 
+def test_parse_config_names_a_repeated_key_and_both_lines(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text("epochs = 3\n# a comment\nlr = 0.01\nepochs = 5\n")
+    with pytest.raises(ConfigError, match="epochs given twice, on lines 1 and 4"):
+        parse_config(str(p))
+
+
 @pytest.mark.parametrize("line", ["nonsense = 1", "epochs = 1.5", "projection = flase",
                                   "lr = fast", "epochs", "features = bogus",
                                   "activation = relu", "train_fraction = 1.5", "heads = 0",
@@ -292,7 +300,8 @@ def test_parse_config_rejects_unknown_key(tmp_path):
                                   "lambda_weight = -1", "sse_dim = 0",
                                   "self_loop_weight = nan", "self_loop_weight = inf",
                                   "lambda_weight = inf", "lr = inf",
-                                  "layers = 0\nheads = 0", "layers = 0\nactivation = relu"])
+                                  "layers = 0\nheads = 0", "layers = 0\nactivation = relu",
+                                  "epochs = 3\nepochs = 5"])
 def test_train_config_error_exit_code(toy_tsv, tmp_path, capsys, line):
     p = tmp_path / "bad.cfg"
     p.write_text(line + "\n")

@@ -157,6 +157,14 @@ def test_from_edges_rejects_duplicate_pairs():
         SignedWeightedGraph.from_edges(3, [0, 1, 0], [1, 2, 1], [1.0, 1.0, -1.0])
 
 
+@pytest.mark.parametrize("labels", [("a",), ("a", "b"), ("a", "b", "c", "d")])
+def test_from_edges_rejects_a_label_count_other_than_0_or_num_nodes(labels):
+    with pytest.raises(ValueError, match=f"{len(labels)} node labels for 3 nodes"):
+        SignedWeightedGraph.from_edges(3, [0, 1], [1, 2], [1.0, -1.0], labels)
+    g = SignedWeightedGraph.from_edges(3, [0, 1], [1, 2], [1.0, -1.0], ("a", "b", "c"))
+    assert g.node_labels == ("a", "b", "c")
+
+
 def test_normalize_signed_unit():
     g = SignedWeightedGraph.from_edges(3, [0, 1, 2], [1, 2, 0], [10.0, -7.0, 2.0])
     gn = normalize_weights(g, "signed_unit")

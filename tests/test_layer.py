@@ -6,11 +6,14 @@ from wsgat.autodiff import Tensor, Tape
 from wsgat.errors import ShapeError
 from wsgat.graph import SignedWeightedGraph
 from wsgat.layer import WsGatLayer, WsGatStack, pair_features
+from wsgat.pipelines import TaskModel, TrainConfig
 from wsgat.verify import dense_layer_reference, dense_mlp_reference, random_graph
 
 
-def make_layer(seed=0, in_width=4, out_width=3, **kw):
-    return WsGatLayer(Tape(seed=seed), "l", in_width, out_width, **kw)
+def make_layer(seed=0, in_width=4, out_width=3, head_merge="concat", **settings):
+    """A layer whose settings are the TrainConfig keys ``settings``."""
+    return WsGatLayer(Tape(seed=seed), "l", in_width, out_width, TrainConfig(**settings),
+                      head_merge)
 
 
 def test_constant_mlp_gives_constant_logits():
@@ -117,13 +120,19 @@ def test_single_node_self_loop_identity():
     assert np.allclose(np.abs(out[0]), np.abs(H[0]), atol=1e-12)
 
 
-@pytest.mark.parametrize("heads,merge", [(1, "concat"), (2, "concat"), (3, "mean")])
-def test_dense_oracle_equivalence(heads, merge):
+@pytest.mark.parametrize("heads,merge,settings", [
+    (1, "concat", {}), (2, "concat", {}), (3, "mean", {}),
+    (2, "concat", {"projection": False}),
+    (2, "mean", {"self_loop_weight": -0.5}),
+    (1, "concat", {"activation": "tanh"}),
+], ids=["1-concat", "2-concat", "3-mean", "2-concat-no_projection",
+        "2-mean-self_loop_weight_neg", "1-concat-tanh"])
+def test_dense_oracle_equivalence(heads, merge, settings):
     rng = np.random.default_rng(heads)
     for trial in range(5):
         n = int(rng.integers(3, 9))
         g = random_graph(np.random.default_rng(trial + 17), n, 0.4)
-        layer = make_layer(seed=trial, heads=heads, head_merge=merge)
+        layer = make_layer(seed=trial, heads=heads, head_merge=merge, **settings)
         H = rng.standard_normal((n, 4))
         sparse = layer.forward(Tensor(H), g).values
         assert np.max(np.abs(sparse - dense_layer_reference(layer, H, g))) < 1e-10
@@ -203,13 +212,13 @@ def test_l1_normalization_per_node():
 class TestStack:
     def test_zero_layers_returns_input(self):
         g = random_graph(np.random.default_rng(0), 4, 0.4)
-        stack = WsGatStack(Tape(seed=0), 3, num_layers=0)
+        stack = WsGatStack(Tape(seed=0), 3, TrainConfig(layers=0))
         X = Tensor(np.random.default_rng(0).standard_normal((4, 3)))
         assert stack.forward(X, g) is X
 
     def test_two_layer_stack_composes(self):
         g = random_graph(np.random.default_rng(1), 8, 0.4)
-        stack = WsGatStack(Tape(seed=1), 3, hidden_width=4, out_width=2, num_layers=2)
+        stack = WsGatStack(Tape(seed=1), 3, TrainConfig(hidden=4, embed=2))
         X = Tensor(np.random.default_rng(1).standard_normal((8, 3)))
         full = stack.forward(X, g).values
         h = stack.layers[0].forward(X, g)
@@ -218,9 +227,38 @@ class TestStack:
 
     def test_head_merge_widths(self):
         g = random_graph(np.random.default_rng(2), 5, 0.4)
-        stack = WsGatStack(Tape(seed=2), 3, hidden_width=4, out_width=2,
-                           num_layers=2, heads=3)
+        stack = WsGatStack(Tape(seed=2), 3, TrainConfig(hidden=4, embed=2, heads=3))
         X = Tensor(np.random.default_rng(2).standard_normal((5, 3)))
         out = stack.forward(X, g)
         assert stack.layers[0].merged_width == 12  # concat on hidden
         assert out.shape == (5, 2)                 # mean on final
+
+    @pytest.mark.parametrize("projection", [True, False])
+    def test_task_model_carries_every_setting_into_every_layer(self, projection):
+        cfg = TrainConfig(layers=3, hidden=5, embed=6, heads=2, attention_hidden=7,
+                          activation="tanh", self_loop_weight=-0.5, projection=projection,
+                          features="random_normal", feature_dim=4)
+        g = random_graph(np.random.default_rng(3), 6, 0.4)
+        model = TaskModel("sign", g, cfg)
+        layers = model.stack.layers
+        assert len(layers) == 3
+        assert [l.head_merge for l in layers] == ["concat", "concat", "mean"]
+        in_width = 4
+        for i, layer in enumerate(layers):
+            out_width = (cfg.embed if i == 2 else cfg.hidden) if projection else in_width
+            assert layer.heads == 2 and len(layer.att) == len(layer.w_out) == 2
+            assert layer.f is ad.tanh
+            assert layer.self_loop_weight == -0.5
+            assert layer.edge_arrays(g)[2][-g.num_nodes:].tolist() == [-0.5] * g.num_nodes
+            assert layer.projection is projection
+            for mlp, w_out in zip(layer.att, layer.w_out):
+                assert mlp.weights[0].shape == (2 * in_width + 1, 7)
+                if projection:
+                    assert w_out.shape == (in_width, out_width)
+                else:
+                    assert w_out is None
+            assert (layer.in_width, layer.out_width) == (in_width, out_width)
+            in_width = layer.merged_width
+            assert in_width == out_width * (1 if i == 2 else 2)
+        assert model.stack.out_width == in_width
+        assert model.sign_head.weights[0].shape[0] == 2 * in_width

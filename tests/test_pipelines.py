@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 import json
@@ -438,8 +439,11 @@ def test_report_serialization_roundtrip():
     assert 0.0 <= rec["auc"] <= 1.0
     assert 0.0 <= rec["f1"] <= 1.0
     assert rec["mae"] >= 0.0
-    row = r.to_csv_row().split(",")
-    assert len(row) == 6
+    assert r.to_csv_row() == (f"weight,{r.dataset},{r.seed},{r.roc_auc:.6f},{r.f1:.6f},"
+                              f"{r.mae:.6f}")
+    # a comma in the dataset name is quoted, not a seventh column
+    row = dataclasses.replace(r, dataset="a,b").to_csv_row()
+    assert next(csv.reader([row])) == ["weight", "a,b", *r.to_csv_row().split(",")[2:]]
 
 
 class StubHead:
