@@ -13,10 +13,12 @@ raises ShapeError.
 
 Three fused ops each give the bits of the unfused ops they replace. Two serve
 a dense layer over pairs of node rows without building the pair matrix:
-linear(x, w, b) is x @ w + b in one node, and gather_sum(a, first, b, second)
-is a[first] + b[second] in one node. The third, propagate(z, alpha, src, dst, n),
-is a graph layer's message passing, alpha[k] * z[src[k]] summed into row
-dst[k], without the per-edge message matrix.
+linear(x, w, b) is x @ w + b in one node, and
+gather_sum(a, first, b, second, extra=None, w=None) is a[first] + b[second],
+plus extra @ w added in place when extra and w are given, in one node. The
+third, propagate(z, alpha, src, dst, n), is a graph layer's message passing,
+alpha[k] * z[src[k]] summed into row dst[k], without the per-edge message
+matrix.
 
 Row scatters (segment_sum forward, take_rows and gather_sum backward) are one
 sparse incidence-matrix product, and propagate's forward and z gradient one
@@ -261,9 +263,10 @@ def take_rows(a, idx):
     return _node(a.values[idx], "take_rows", (a, lambda g: _scatter_add(g, idx, a.shape[0])))
 
 
-def gather_sum(a, first, b, second):
-    """a[first] + b[second] in one node: the bits of add(take_rows(a, first),
-    take_rows(b, second)), without either gathered matrix."""
+def gather_sum(a, first, b, second, extra=None, w=None):
+    """a[first] + b[second], plus extra @ w when both are given, in one node:
+    the bits of add(add(take_rows(a, first), take_rows(b, second)),
+    matmul(extra, w)), without the gathered matrices or the product."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"gather_sum: incompatible shapes {a.shape} and {b.shape}")
@@ -271,10 +274,21 @@ def gather_sum(a, first, b, second):
     second = _row_index(second, b.shape[0], "gather_sum")
     if first.shape != second.shape or first.ndim != 1:
         raise ShapeError(f"gather_sum: index shapes {first.shape} and {second.shape}")
+    if (extra is None) != (w is None):
+        raise ShapeError("gather_sum: extra and w must be given together")
     out = a.values[first]
     out += b.values[second]
-    return _node(out, "gather_sum", (a, lambda g: _scatter_add(g, first, a.shape[0])),
-                 (b, lambda g: _scatter_add(g, second, b.shape[0])))
+    grads = [(a, lambda g: _scatter_add(g, first, a.shape[0])),
+             (b, lambda g: _scatter_add(g, second, b.shape[0]))]
+    if extra is not None:
+        extra, w = _as_tensor(extra), _as_tensor(w)
+        if (extra.values.ndim != 2 or w.values.ndim != 2 or extra.shape[0] != len(first)
+                or w.shape != (extra.shape[1], a.shape[1])):
+            raise ShapeError(f"gather_sum: extra {extra.shape} and w {w.shape} "
+                             f"for {len(first)} rows of width {a.shape[1]}")
+        out += extra.values @ w.values
+        grads += [(extra, lambda g: g @ w.values.T), (w, lambda g: extra.values.T @ g)]
+    return _node(out, "gather_sum", *grads)
 
 
 def scale_rows(a, s):

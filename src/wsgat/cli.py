@@ -29,6 +29,7 @@ from .errors import (
     DegenerateTaskError,
     EmptyGraphError,
     GraphParseError,
+    GraphWriteError,
     NumericFault,
     SamplingExhaustedError,
     UndefinedMetricError,
@@ -38,6 +39,7 @@ from .pipelines import TASKS, EvalReport, TrainConfig, csv_row, train
 
 EXIT_CODES = {
     GraphParseError: 2,
+    GraphWriteError: 2,
     EmptyGraphError: 2,
     OSError: 2,  # a file that cannot be opened; main() takes BrokenPipeError first
     ConfigError: 2,

@@ -24,6 +24,11 @@ class GraphParseError(WsgatError):
         self.lineno = lineno
 
 
+class GraphWriteError(WsgatError, ValueError):
+    """A graph that an edge-list format cannot hold so that it reads back the
+    same, e.g. a node label with a tab in tsv3."""
+
+
 class EmptyGraphError(WsgatError):
     """Input produced zero edges."""
 

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyGraphError, GraphParseError, SamplingExhaustedError
+from .errors import (ConfigError, EmptyGraphError, GraphParseError, GraphWriteError,
+                     SamplingExhaustedError)
 
 FORMATS = ("tsv3", "csv4")  # edge list formats load_edge_list reads
 
@@ -157,10 +158,30 @@ def _label_key(lab):
     return (1, 0.0, lab) if math.isnan(x) else (0, x, lab)
 
 
+def _tsv3_label_fault(label, is_source):
+    """Why load_edge_list would not read ``label`` back from a tsv3 line, or None.
+    Only a line's first field can be lost to the line's strip or read as a comment."""
+    if any(c in label for c in "\t\r\n"):
+        return "it holds a tab or a line break"
+    if label != label.strip():
+        return "it has leading or trailing whitespace"
+    if is_source and (not label or label.startswith("#")):
+        return "a line cannot start with an empty label or '#'"
+    return None
+
+
 def save_edge_list(g, path):
-    """Write tsv3; load_edge_list(save_edge_list(g)) reproduces the edge multiset."""
+    """Write tsv3; load_edge_list(save_edge_list(g)) reproduces the edge multiset.
+
+    Raises GraphWriteError, before the file is opened, for a node label that
+    tsv3 cannot hold."""
+    labels = [str(lab) for lab in g.node_labels] or [str(i) for i in range(g.num_nodes)]
+    sources = set(np.unique(g.src).tolist())
+    for i, label in enumerate(labels):
+        fault = _tsv3_label_fault(label, i in sources)
+        if fault:
+            raise GraphWriteError(f"{path}: node label {label!r} cannot be written to tsv3: {fault}")
     with open(path, "w", encoding="utf-8") as f:
-        labels = g.node_labels if g.node_labels else [str(i) for i in range(g.num_nodes)]
         for s, d, w in zip(g.src, g.dst, g.weight):
             f.write(f"{labels[s]}\t{labels[d]}\t{float(w)!r}\n")
 

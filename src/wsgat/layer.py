@@ -76,14 +76,14 @@ class Mlp:
 
     def over_pairs(self, rows, first, second, extra=None):
         """The MLP over pairs ``(first[k], second[k])`` of the node rows ``rows``
-        from ``rows(H)``: their gathered sum, plus ``extra w_c`` (``w_c`` the
-        last ``extra.shape[1]`` rows of ``w0``), then the later layers. Only
-        this stage is pair-wide."""
-        x = ad.gather_sum(rows[0], first, rows[1], second)
+        from ``rows(H)``: their gathered sum plus ``extra w_c`` (``w_c`` the
+        last ``extra.shape[1]`` rows of ``w0``) as one ``gather_sum`` node,
+        then the later layers. Only this stage is pair-wide."""
+        w_c = None
         if extra is not None:
             w0 = self.weights[0]
             w_c = ad.take_rows(w0, np.arange(w0.shape[0] - extra.shape[1], w0.shape[0]))
-            x = ad.add(x, ad.matmul(extra, w_c))
+        x = ad.gather_sum(rows[0], first, rows[1], second, extra, w_c)
         for i, act in enumerate(self.acts):
             if i:
                 x = ad.linear(x, self.weights[i], self.biases[i])

@@ -193,8 +193,10 @@ def _gradcheck_ops():
     bias = Tensor(rng.standard_normal(2), requires_grad=True)
     check("linear", lambda: ad.sum_(ad.tanh(ad.linear(a, b, bias))), [a, b, bias])
     f = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-    check("gather_sum", lambda: ad.sum_(ad.tanh(ad.gather_sum(a, idx, f, [1, 1, 0, 1]))),
-          [a, f])
+    extra = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    w_extra = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    check("gather_sum", lambda: ad.sum_(ad.tanh(
+        ad.gather_sum(a, idx, f, [1, 1, 0, 1], extra, w_extra))), [a, f, extra, w_extra])
     alpha = Tensor(rng.standard_normal(4), requires_grad=True)
     check("propagate", lambda: ad.sum_(ad.tanh(ad.propagate(a, alpha, idx, [1, 0, 1, 1], 2))),
           [a, alpha])

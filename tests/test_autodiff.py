@@ -285,24 +285,31 @@ def test_linear_gives_the_bits_of_matmul_plus_bias(seed):
     assert run(ad.linear) == run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
 
 
-@pytest.mark.parametrize("same", [False, True])
+@pytest.mark.parametrize("same, extra", [(False, False), (True, False), (False, True), (True, True)],
+                         ids=["False", "True", "False-extra", "True-extra"])
 @pytest.mark.parametrize("seed", range(3))
-def test_gather_sum_gives_the_bits_of_two_take_rows_added(seed, same):
-    """Repeated and never-hit rows; `same` gathers both sides from one tensor."""
+def test_gather_sum_gives_the_bits_of_two_take_rows_added(seed, same, extra):
+    """Repeated and never-hit rows; `same` gathers both sides from one tensor;
+    `extra` adds an extra @ w term, whose two factors both take gradients."""
     rng = np.random.default_rng(seed)
-    values = [rng.standard_normal((4, 3)), rng.standard_normal((5, 3))]
+    values = [rng.standard_normal((4, 3)), rng.standard_normal((5, 3)),
+              rng.standard_normal((9, 2)), rng.standard_normal((2, 3))]
     first, second = rng.integers(0, 3, 9), rng.integers(0, 4, 9)
     g = rng.standard_normal((9, 3))
 
     def run(op):
         a = Tensor(values[0], requires_grad=True)
         b = a if same else Tensor(values[1], requires_grad=True)
-        out = op(a, first, b, second)
-        leaves = (a,) if same else (a, b)
+        e, w = (Tensor(v, requires_grad=True) for v in values[2:])
+        out = op(a, first, b, second, *((e, w) if extra else ()))
+        leaves = ((a,) if same else (a, b)) + ((e, w) if extra else ())
         return out.values.tobytes(), _grads_after(ad.sum_(ad.mul(out, g)), leaves)
 
-    assert run(ad.gather_sum) == run(
-        lambda a, i, b, j: ad.add(ad.take_rows(a, i), ad.take_rows(b, j)))
+    def unfused(a, i, b, j, *term):
+        x = ad.add(ad.take_rows(a, i), ad.take_rows(b, j))
+        return ad.add(x, ad.matmul(*term)) if term else x
+
+    assert run(ad.gather_sum) == run(unfused)
 
 
 @given(st.data(), st.integers(1, 5), st.integers(0, 3), st.integers(1, 4), st.integers(1, 5))
@@ -338,6 +345,14 @@ def test_fused_ops_reject_mismatched_shapes():
         ad.gather_sum(Tensor(np.ones((4, 2))), [0], Tensor(np.ones((4, 3))), [0])
     with pytest.raises(ShapeError, match="gather_sum: index shapes"):
         ad.gather_sum(Tensor(np.ones((4, 2))), [0, 1], Tensor(np.ones((4, 2))), [0])
+    a = Tensor(np.ones((4, 2)))
+    # extra rows != len(first), w rows != extra columns, w columns != a columns
+    for extra, w in (((3, 1), (1, 2)), ((2, 3), (1, 2)), ((2, 1), (1, 3))):
+        with pytest.raises(ShapeError, match="gather_sum: extra"):
+            ad.gather_sum(a, [0, 1], a, [1, 0], Tensor(np.ones(extra)), Tensor(np.ones(w)))
+    for extra, w in ((Tensor(np.ones((2, 1))), None), (None, Tensor(np.ones((1, 2))))):
+        with pytest.raises(ShapeError, match="gather_sum: extra and w must be given together"):
+            ad.gather_sum(a, [0, 1], a, [1, 0], extra, w)
     with pytest.raises(ShapeError, match="linear: incompatible shapes"):
         ad.linear(Tensor(np.ones((3, 4))), Tensor(np.ones((5, 2))), Tensor(np.ones(2)))
     with pytest.raises(ShapeError, match="linear: incompatible shapes"):

@@ -74,6 +74,16 @@ def test_ingest_parse_error_exit_code(tmp_path, capsys):
     assert "bad.tsv:1" in capsys.readouterr().err
 
 
+def test_ingest_of_a_label_with_a_tab_exits_2_and_writes_nothing(tmp_path, capsys):
+    p = tmp_path / "g.csv"
+    p.write_text("a\tq,c,2,0\n")
+    out = tmp_path / "o"
+    assert main(["ingest", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "'a\\tq'" in err
+    assert not (out / "g.tsv").exists()
+
+
 def test_ingest_picks_csv4_for_a_csv_file(tmp_path, capsys):
     # the SNAP file name of bitcoin-alpha, with its header line, and no --format
     p = tmp_path / "soc-sign-bitcoinalpha.csv"

@@ -1,9 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from wsgat.errors import EmptyGraphError, GraphParseError, SamplingExhaustedError
+from wsgat.errors import (EmptyGraphError, GraphParseError, GraphWriteError,
+                          SamplingExhaustedError)
 from wsgat.graph import (
     SignedWeightedGraph,
     _label_key,
@@ -135,6 +137,28 @@ def test_roundtrip_tsv3(tmp_path):
     pairs = sorted(zip(g.src, g.dst, g.weight))
     pairs2 = sorted(zip(g2.src, g2.dst, g2.weight))
     assert pairs == pairs2
+
+
+@pytest.mark.parametrize("labels, bad", [
+    (("a\tq", "c"), "a\tq"), (("a", "c\td"), "c\td"), (("a\rq", "c"), "a\rq"),
+    ((" a", "c"), " a"), (("a", "c "), "c "), (("", "c"), ""), (("#a", "c"), "#a"),
+])
+def test_save_rejects_a_label_tsv3_cannot_read_back(tmp_path, labels, bad):
+    g = SignedWeightedGraph.from_edges(2, [0], [1], [2.0], labels)
+    out = tmp_path / "g.tsv"
+    with pytest.raises(GraphWriteError, match=re.escape(f"node label {bad!r} cannot be written")):
+        save_edge_list(g, out)
+    assert not out.exists()
+
+
+def test_save_keeps_an_empty_or_hash_label_that_never_starts_a_line(tmp_path):
+    # a target field may be empty or begin with '#': only a line's first field is at risk
+    g = SignedWeightedGraph.from_edges(3, [0, 0], [1, 2], [2.0, -1.0], ("a", "", "#b"))
+    out = tmp_path / "g.tsv"
+    save_edge_list(g, out)
+    g2 = load_edge_list(out, "tsv3")
+    assert sorted(g2.node_labels) == sorted(g.node_labels)
+    assert g2.num_edges == 2
 
 
 def test_in_edges_match_edge_list():
