@@ -20,6 +20,14 @@ third, propagate(z, alpha, src, dst, n), is a graph layer's message passing,
 alpha[k] * z[src[k]] summed into row dst[k], without the per-edge message
 matrix.
 
+linear and gather_sum also take act, "tanh" or "leaky_relu": an activation
+epilogue. The node checks its pre-activation for NaN/Inf (tanh(inf) is 1
+and would hide an overflow), then applies the activation in place, keeping
+only its output and, for leaky_relu, a boolean mask of the negative entries.
+Backward multiplies g by the derivative once, then runs the op's own
+gradients. The standalone tanh and leaky_relu run the same two functions
+(_ACTIVATIONS) on a copy of their input, so both give the same bits.
+
 Row scatters (segment_sum forward, take_rows and gather_sum backward) are one
 sparse incidence-matrix product, and propagate's forward and z gradient one
 sparse product with alpha in place of the ones. Each sums a row's terms in
@@ -72,12 +80,54 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _node(values, op, *grads):
+def _tanh_(x):
+    np.tanh(x, out=x)
+
+
+def _tanh_grad(g, out, _):
+    d = out * out
+    np.subtract(1.0, d, out=d)
+    d *= g
+    return d
+
+
+def _leaky_relu_(x):
+    negative = x < 0
+    np.multiply(x, 0.2, out=x, where=negative)
+    return negative
+
+
+def _leaky_relu_grad(g, out, negative):
+    d = g.copy()
+    np.multiply(d, 0.2, out=d, where=negative)
+    return d
+
+
+# activation name -> (apply in place to x, returning what the derivative
+# needs besides the output; g times the derivative, from g, the output and
+# that). The standalone ops and the fused epilogues both run these.
+_ACTIVATIONS = {
+    "tanh": (_tanh_, _tanh_grad),
+    "leaky_relu": (_leaky_relu_, _leaky_relu_grad),
+}
+
+
+def _node(values, op, *grads, act=None):
     """The output Tensor of `op`. grads are (parent, fn) pairs, fn mapping the
     output's gradient to the parent's; backward accumulates fn(g) into each
-    parent that requires a gradient, in the order given."""
+    parent that requires a gradient, in the order given.
+
+    With act, a key of _ACTIVATIONS, values is checked for non-finite entries
+    and then overwritten by its activation; backward multiplies g by the
+    activation's derivative once, before the fns run."""
+    if act is not None:
+        forward, grad = _ACTIVATIONS[act]
+        _check_finite(values, op)
+        saved = forward(values)
 
     def backward(g):
+        if act is not None:
+            g = grad(g, values, saved)
         for parent, fn in grads:
             if parent.requires_grad:
                 parent.accumulate_grad(fn(g))
@@ -125,8 +175,9 @@ def matmul(a, b):
                  (a, lambda g: g @ b.values.T), (b, lambda g: a.values.T @ g))
 
 
-def linear(x, w, b):
-    """x @ w + b in one node, b added in place: the bits of add(matmul(x, w), b)."""
+def linear(x, w, b, act=None):
+    """x @ w + b in one node, b added in place: the bits of add(matmul(x, w), b).
+    With act ("tanh" or "leaky_relu") the activation follows in the same node."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if (x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != w.shape[1:]):
@@ -134,7 +185,7 @@ def linear(x, w, b):
     out = x.values @ w.values
     out += b.values
     return _node(out, "linear", (x, lambda g: g @ w.values.T), (w, lambda g: x.values.T @ g),
-                 (b, lambda g: g.sum(axis=0)))
+                 (b, lambda g: g.sum(axis=0)), act=act)
 
 
 def _unary(a, fwd, deriv, op):
@@ -144,8 +195,14 @@ def _unary(a, fwd, deriv, op):
     return _node(out, op, (a, lambda g: g * deriv(a.values, out)))
 
 
+def _activation_node(a, act):
+    """The activation act alone: the epilogue of linear and gather_sum, on a copy of a."""
+    a = _as_tensor(a)
+    return _node(a.values.copy(), act, (a, lambda g: g), act=act)
+
+
 def tanh(a):
-    return _unary(a, np.tanh, lambda x, o: 1.0 - o * o, "tanh")
+    return _activation_node(a, "tanh")
 
 
 def softplus(a):
@@ -161,12 +218,7 @@ def sigmoid(a):
 
 
 def leaky_relu(a):
-    return _unary(
-        a,
-        lambda x: np.where(x >= 0, x, 0.2 * x),
-        lambda x, o: np.where(x >= 0, 1.0, 0.2),
-        "leaky_relu",
-    )
+    return _activation_node(a, "leaky_relu")
 
 
 def elu(a):
@@ -263,10 +315,11 @@ def take_rows(a, idx):
     return _node(a.values[idx], "take_rows", (a, lambda g: _scatter_add(g, idx, a.shape[0])))
 
 
-def gather_sum(a, first, b, second, extra=None, w=None):
+def gather_sum(a, first, b, second, extra=None, w=None, act=None):
     """a[first] + b[second], plus extra @ w when both are given, in one node:
     the bits of add(add(take_rows(a, first), take_rows(b, second)),
-    matmul(extra, w)), without the gathered matrices or the product."""
+    matmul(extra, w)), without the gathered matrices or the product. With act
+    ("tanh" or "leaky_relu") the activation follows in the same node."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"gather_sum: incompatible shapes {a.shape} and {b.shape}")
@@ -288,7 +341,7 @@ def gather_sum(a, first, b, second, extra=None, w=None):
                              f"for {len(first)} rows of width {a.shape[1]}")
         out += extra.values @ w.values
         grads += [(extra, lambda g: g @ w.values.T), (w, lambda g: extra.values.T @ g)]
-    return _node(out, "gather_sum", *grads)
+    return _node(out, "gather_sum", *grads, act=act)
 
 
 def scale_rows(a, s):

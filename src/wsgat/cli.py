@@ -95,7 +95,6 @@ def parse_config(path=None):
 
 def cmd_ingest(args):
     g = load_edge_list(args.source, fmt=args.format, symmetrize=args.symmetrize)
-    os.makedirs(args.out, exist_ok=True)
     name = args.name or os.path.splitext(os.path.basename(args.source))[0]
     out_path = os.path.join(args.out, f"{name}.tsv")
     save_edge_list(g, out_path)

@@ -171,16 +171,18 @@ def _tsv3_label_fault(label, is_source):
 
 
 def save_edge_list(g, path):
-    """Write tsv3; load_edge_list(save_edge_list(g)) reproduces the edge multiset.
+    """Write tsv3, making the file's directory if it is missing;
+    load_edge_list(save_edge_list(g)) reproduces the edge multiset.
 
-    Raises GraphWriteError, before the file is opened, for a node label that
-    tsv3 cannot hold."""
+    Raises GraphWriteError, before the directory or the file is made, for a
+    node label that tsv3 cannot hold."""
     labels = [str(lab) for lab in g.node_labels] or [str(i) for i in range(g.num_nodes)]
     sources = set(np.unique(g.src).tolist())
     for i, label in enumerate(labels):
         fault = _tsv3_label_fault(label, i in sources)
         if fault:
             raise GraphWriteError(f"{path}: node label {label!r} cannot be written to tsv3: {fault}")
+    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
         for s, d, w in zip(g.src, g.dst, g.weight):
             f.write(f"{labels[s]}\t{labels[d]}\t{float(w)!r}\n")

@@ -43,7 +43,8 @@ class Mlp:
     over pairs of node rows.
 
     ``hidden_act`` follows every layer but the last, ``out_act`` (None: linear)
-    the last.
+    the last: each an activation name, ``"tanh"`` or ``"leaky_relu"``, applied
+    inside the node of its layer's product.
     """
 
     def __init__(self, tape, prefix, sizes, hidden_act, out_act=None):
@@ -77,18 +78,16 @@ class Mlp:
     def over_pairs(self, rows, first, second, extra=None):
         """The MLP over pairs ``(first[k], second[k])`` of the node rows ``rows``
         from ``rows(H)``: their gathered sum plus ``extra w_c`` (``w_c`` the
-        last ``extra.shape[1]`` rows of ``w0``) as one ``gather_sum`` node,
-        then the later layers. Only this stage is pair-wide."""
+        last ``extra.shape[1]`` rows of ``w0``) and its activation as one
+        ``gather_sum`` node, then one ``linear`` node per later layer. Only
+        this stage is pair-wide."""
         w_c = None
         if extra is not None:
             w0 = self.weights[0]
             w_c = ad.take_rows(w0, np.arange(w0.shape[0] - extra.shape[1], w0.shape[0]))
-        x = ad.gather_sum(rows[0], first, rows[1], second, extra, w_c)
-        for i, act in enumerate(self.acts):
-            if i:
-                x = ad.linear(x, self.weights[i], self.biases[i])
-            if act is not None:
-                x = act(x)
+        x = ad.gather_sum(rows[0], first, rows[1], second, extra, w_c, act=self.acts[0])
+        for w, b, act in zip(self.weights[1:], self.biases[1:], self.acts[1:]):
+            x = ad.linear(x, w, b, act=act)
         return x
 
 
@@ -120,7 +119,7 @@ class WsGatLayer:
         self.f = _activation(config.activation)
         self.att = [
             Mlp(tape, f"{prefix}.h{k}.att", [2 * in_width + 1, config.attention_hidden, 1],
-                ad.leaky_relu, ad.tanh)
+                "leaky_relu", "tanh")
             for k in range(self.heads)
         ]
         self.w_out = [

@@ -142,11 +142,12 @@ class EvalReport:
 
 class PairHead(Mlp):
     """MLP over pairs of node embeddings: tanh between its layers, ``out_act``
-    (None: linear) after the last. Called as ``head(rows, s, d)``, the pair
-    stage, on ``rows = head.rows(emb)`` and one chunk of pairs' two node columns."""
+    (an activation name, or None: linear) after the last. Called as
+    ``head(rows, s, d)``, the pair stage, on ``rows = head.rows(emb)`` and one
+    chunk of pairs' two node columns."""
 
     def __init__(self, tape, prefix, sizes, out_act=None):
-        super().__init__(tape, prefix, sizes, ad.tanh, out_act)
+        super().__init__(tape, prefix, sizes, "tanh", out_act)
 
     # its own attribute, so a profiler can wrap the heads and not the attention MLPs
     __call__ = Mlp.over_pairs
@@ -170,7 +171,7 @@ class TaskModel:
         else:
             self.exist_head = PairHead(self.tape, "exist_head", sizes + [1])
             self.weight_head = PairHead(self.tape, "weight_head", sizes + [1],
-                                        ad.tanh if task == "signed-weight" else None)
+                                        "tanh" if task == "signed-weight" else None)
 
     @staticmethod
     def _features(g, config):

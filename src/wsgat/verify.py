@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, Tape
 from .graph import SignedWeightedGraph
-from .layer import Mlp, WsGatLayer, WsGatStack
+from .layer import Mlp, WsGatLayer, WsGatStack, _activation
 from .metrics import roc_auc, f1_score, mean_absolute_error
 from .pipelines import TaskModel, TrainConfig, cross_entropy, bce_with_logits
 from .spectral import signed_spectral_embedding, _signed_adjacency
@@ -115,7 +115,7 @@ def dense_mlp_reference(mlp, X):
     for w, b, act in zip(mlp.weights, mlp.biases, mlp.acts):
         X = ad.add(ad.matmul(X, w), b)
         if act is not None:
-            X = act(X)
+            X = _activation(act)(X)
     return X
 
 
@@ -192,11 +192,14 @@ def _gradcheck_ops():
     check("bce_with_logits", lambda: bce_with_logits(z, Tensor(y)), [z])
     bias = Tensor(rng.standard_normal(2), requires_grad=True)
     check("linear", lambda: ad.sum_(ad.tanh(ad.linear(a, b, bias))), [a, b, bias])
+    check("linear+tanh", lambda: ad.sum_(ad.tanh(ad.linear(a, b, bias, "tanh"))), [a, b, bias])
     f = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     extra = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     w_extra = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     check("gather_sum", lambda: ad.sum_(ad.tanh(
         ad.gather_sum(a, idx, f, [1, 1, 0, 1], extra, w_extra))), [a, f, extra, w_extra])
+    check("gather_sum+leaky_relu", lambda: ad.sum_(ad.tanh(ad.gather_sum(
+        a, idx, f, [1, 1, 0, 1], extra, w_extra, "leaky_relu"))), [a, f, extra, w_extra])
     alpha = Tensor(rng.standard_normal(4), requires_grad=True)
     check("propagate", lambda: ad.sum_(ad.tanh(ad.propagate(a, alpha, idx, [1, 0, 1, 1], 2))),
           [a, alpha])

@@ -312,6 +312,66 @@ def test_gather_sum_gives_the_bits_of_two_take_rows_added(seed, same, extra):
     assert run(ad.gather_sum) == run(unfused)
 
 
+@pytest.mark.parametrize("act", ["tanh", "leaky_relu"])
+@pytest.mark.parametrize("op", ["linear", "gather_sum", "gather_sum-extra"])
+def test_activation_epilogue_gives_the_bits_of_the_standalone_activation(op, act):
+    """linear and gather_sum with act give the values and every parent's
+    gradient of the standalone activation after the plain op, to the bit. Row
+    0 of the pre-activation holds 0.0, -0.0 (reached only by gather_sum
+    without extra: a product's zero is +0.0) and a negative subnormal, which
+    pin leaky_relu's kink."""
+    rng = np.random.default_rng(5)
+    tiny = -5e-324
+    if op == "linear":
+        x = rng.standard_normal((6, 4))
+        x[0] = 0.0
+        values = [x, rng.standard_normal((4, 3)), np.array([0.0, -0.0, tiny])]
+        kink = [0.0, 0.0, tiny]
+        plain = ad.linear
+    else:
+        a, b = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
+        a[0], b[0] = [0.0, -0.0, tiny], [0.0, -0.0, -0.0]
+        first, second = np.array([0, 1, 3, 0, 2, 1]), np.array([0, 4, 4, 2, 1, 0])
+        values = [a, b]
+        kink = [0.0, -0.0, tiny]
+        if op == "gather_sum-extra":
+            extra = rng.standard_normal((6, 2))
+            extra[0] = 0.0
+            values += [extra, rng.standard_normal((2, 3))]
+            kink[1] = 0.0
+
+        def plain(a, b, *term, act=None):
+            return ad.gather_sum(a, first, b, second, *term, act=act)
+
+    g = rng.standard_normal((6, 3))
+
+    def run(fused):
+        leaves = [Tensor(v, requires_grad=True) for v in values]
+        if fused:
+            out = plain(*leaves, act=act)
+        else:
+            pre = plain(*leaves)
+            assert pre.values[0].tobytes() == np.array(kink).tobytes()
+            out = getattr(ad, act)(pre)
+        return out.values.tobytes(), _grads_after(ad.sum_(ad.mul(out, g)), leaves)
+
+    assert run(True) == run(False)
+    if act == "leaky_relu":  # slope 1 at both zeros, 0.2 below them
+        x = Tensor(kink, requires_grad=True)
+        ad.backward(ad.sum_(ad.leaky_relu(x)))
+        assert x.grad.tolist() == [1.0, 1.0, 0.2]
+
+
+def test_activation_epilogue_checks_the_pre_activation():
+    """tanh(inf) is 1, so the fused node checks the product before its activation."""
+    big, huge = Tensor([[1e200]]), Tensor([[1e308]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericFault, match="non-finite values in linear"):
+            ad.linear(big, big, Tensor([0.0]), act="tanh")
+        with pytest.raises(NumericFault, match="non-finite values in gather_sum"):
+            ad.gather_sum(huge, [0], huge, [0], act="tanh")
+
+
 @given(st.data(), st.integers(1, 5), st.integers(0, 3), st.integers(1, 4), st.integers(1, 5))
 @settings(max_examples=200, deadline=None)
 def test_propagate_gives_the_bits_of_take_scale_segment_sum(data, n, extra_rows, width, chunk):

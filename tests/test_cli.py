@@ -84,6 +84,17 @@ def test_ingest_of_a_label_with_a_tab_exits_2_and_writes_nothing(tmp_path, capsy
     assert not (out / "g.tsv").exists()
 
 
+def test_ingest_of_an_unwritable_label_makes_no_directory(tmp_path, capsys):
+    # symmetrized, the empty target label would start a line of the tsv3 file
+    p = tmp_path / "raw.csv"
+    p.write_text("a,,2,0\n")
+    out = tmp_path / "newdir"
+    assert main(["ingest", str(p), "--symmetrize", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "''" in err
+    assert not out.exists()
+
+
 def test_ingest_picks_csv4_for_a_csv_file(tmp_path, capsys):
     # the SNAP file name of bitcoin-alpha, with its header line, and no --format
     p = tmp_path / "soc-sign-bitcoinalpha.csv"

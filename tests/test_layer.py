@@ -72,16 +72,16 @@ def test_attention_mlp_matches_the_dense_mlp_over_pair_features(seed):
 
 
 @pytest.mark.parametrize("heads", [1, 2])
-def test_forward_keeps_two_edge_wide_hidden_activations_per_head(heads):
-    """Per head, the attention MLP's hidden layer is one gather_sum node (the
-    edge-weight term folded in) and its leaky_relu: no add or matmul node
-    over the edges."""
+def test_forward_keeps_one_edge_wide_hidden_activation_per_head(heads):
+    """Per head, the attention MLP's hidden layer is one gather_sum node, with
+    the edge-weight term and the leaky_relu applied inside it: no add, matmul
+    or activation node over the edges."""
     g = random_graph(np.random.default_rng(0), 9, 0.4)
     layer = make_layer(in_width=4, out_width=3, heads=heads, attention_hidden=7)
     out = layer.forward(Tensor(np.random.default_rng(1).standard_normal((9, 4))), g)
     edge_rows = g.num_edges + g.num_nodes
     wide = [t.op for t in ad.topo_order(ad.sum_(out)) if t.shape == (edge_rows, 7)]
-    assert sorted(wide) == sorted(["gather_sum", "leaky_relu"] * heads)
+    assert wide == ["gather_sum"] * heads
 
 
 def test_mlp_rejects_an_input_of_the_wrong_width():

@@ -244,6 +244,30 @@ def test_no_head_activation_wider_than_a_chunk_in_a_swept_graph(monkeypatch, tas
     assert not offenders, offenders
 
 
+@pytest.mark.parametrize("task", ["sign", "weight", "signed-weight"])
+def test_a_swept_chunk_keeps_one_hidden_array_per_head_layer(monkeypatch, task):
+    """A chunk's graph holds exactly head_layers - 1 arrays of its pairs by
+    head_hidden: each hidden layer's tanh is applied inside the layer's
+    gather_sum or linear node."""
+    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 4)
+    chunks = []
+
+    def check(model, output):
+        nodes = ad.topo_order(output)
+        if any(n.op == "propagate" for n in nodes):
+            return  # the last sweep, through the node rows and the GNN
+        pairs = next(n.shape[0] for n in nodes if n.op == "gather_sum")
+        assert pairs <= 4
+        chunks.append(sorted(n.op for n in nodes if n.shape == (pairs, model.config.head_hidden)))
+
+    watch_sweeps(monkeypatch, check)
+    train(task, random_graph(np.random.default_rng(4), 12, 0.35),
+          tiny_config(heads=2, embed=3, feature_dim=4, attention_hidden=4, head_hidden=7,
+                      head_layers=4, epochs=1))
+    assert len(chunks) > 3
+    assert all(ops == ["gather_sum", "linear", "linear"] for ops in chunks), chunks
+
+
 def loss_and_gradients(monkeypatch, task, chunk_rows):
     """The train-batch loss, its parameter gradients and the validation loss of
     a fresh two-head model on a toy graph: through _pair_loss with
