@@ -1,8 +1,10 @@
 """Minimal dense reverse-mode autodiff: a Tensor with a recorded backward graph.
 
 64-bit floats throughout. Every op checks its output, and backward() each
-gradient, for NaN/Inf (NumericFault). After backward() only leaf tensors keep
-.grad, which is never written in place.
+gradient, for NaN/Inf (NumericFault); an op with an activation epilogue
+checks its pre-activation instead, since the activations map finite values
+to finite values. After backward() only leaf tensors keep .grad, which is
+never written in place.
 
 Every op builds its output through one constructor, _node(values, op, *grads),
 each grad a (parent, g -> gradient) pair; _node holds the only backward
@@ -22,11 +24,18 @@ matrix.
 
 linear and gather_sum also take act, "tanh" or "leaky_relu": an activation
 epilogue. The node checks its pre-activation for NaN/Inf (tanh(inf) is 1
-and would hide an overflow), then applies the activation in place, keeping
-only its output and, for leaky_relu, a boolean mask of the negative entries.
+and would hide an overflow), not its output again, then applies the
+activation in place, keeping only its output and, for leaky_relu, a boolean
+mask of the negative entries.
 Backward multiplies g by the derivative once, then runs the op's own
 gradients. The standalone tanh and leaky_relu run the same two functions
 (_ACTIVATIONS) on a copy of their input, so both give the same bits.
+
+recompute(fn, *inputs) is gradient checkpointing: fn(*inputs) as one node
+that keeps only its inputs and its output, and runs fn again in backward to
+sweep the graph it dropped, through the private _sweep that backward() also
+runs. A graph layer keeps no edge-wide array between forward and backward
+that way.
 
 Row scatters (segment_sum forward, take_rows and gather_sum backward) are one
 sparse incidence-matrix product, and propagate's forward and z gradient one
@@ -51,9 +60,11 @@ def _check_finite(values, where):
 class Tensor:
     """Dense float64 array node of a differentiable computation."""
 
-    def __init__(self, values, requires_grad=False, parents=(), backward=None, op=""):
+    def __init__(self, values, requires_grad=False, parents=(), backward=None, op="",
+                 check=True):
         self.values = np.asarray(values, dtype=np.float64)
-        _check_finite(self.values, op or "tensor")
+        if check:  # False only for values already checked, or derived finitely from them
+            _check_finite(self.values, op or "tensor")
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
         self.parents = tuple(parents)
         self._backward = backward
@@ -92,15 +103,16 @@ def _tanh_grad(g, out, _):
 
 
 def _leaky_relu_(x):
+    # 0.2 * x is at least x below zero and at most x above it, -0.0 included:
+    # the bits of scaling the negative entries, without numpy's slower masked
+    # multiply
     negative = x < 0
-    np.multiply(x, 0.2, out=x, where=negative)
+    np.maximum(x, x * 0.2, out=x)
     return negative
 
 
 def _leaky_relu_grad(g, out, negative):
-    d = g.copy()
-    np.multiply(d, 0.2, out=d, where=negative)
-    return d
+    return g * np.where(negative, 0.2, 1.0)
 
 
 # activation name -> (apply in place to x, returning what the derivative
@@ -132,7 +144,9 @@ def _node(values, op, *grads, act=None):
             if parent.requires_grad:
                 parent.accumulate_grad(fn(g))
 
-    return Tensor(values, parents=tuple(p for p, _ in grads), backward=backward, op=op)
+    # an activation maps finite values to finite values, so the check above stands
+    return Tensor(values, parents=tuple(p for p, _ in grads), backward=backward, op=op,
+                  check=act is None)
 
 
 def _unbroadcast(g, shape):
@@ -432,6 +446,40 @@ def segment_signed_softmax(logits, segments, num_segments):
     return _node(s * p, "segment_signed_softmax", (logits, dlogits))
 
 
+def recompute(fn, *inputs):
+    """fn(*inputs) as one node that keeps only its inputs and its output:
+    gradient checkpointing. fn maps Tensors to a Tensor through the ops of
+    this module and may close over parameters and arrays, but must give the
+    same bits each time it runs.
+
+    Forward runs fn on leaf copies of the inputs and keeps the values of its
+    output, dropping the graph behind them. Backward runs fn again on new leaf
+    copies and sweeps that graph seeded with the node's gradient: the
+    parameters fn closes over gather their gradients there, and each input
+    that requires one the gradient its copy gathered. The node requires a
+    gradient when fn's graph does, even if no input does. A parameter that fn
+    and the rest of the graph both use may sum its gradient terms in another
+    order than one plain graph would.
+    """
+    inputs = tuple(_as_tensor(x) for x in inputs)
+
+    def run():
+        leaves = [Tensor(x.values, requires_grad=x.requires_grad, check=False) for x in inputs]
+        return leaves, _as_tensor(fn(*leaves))
+
+    _, out = run()
+
+    def backward(g):
+        leaves, rerun = run()
+        _sweep(rerun, g)
+        for x, leaf in zip(inputs, leaves):
+            if x.requires_grad and leaf.grad is not None:
+                x.accumulate_grad(leaf.grad)
+
+    return Tensor(out.values, requires_grad=out.requires_grad, parents=inputs,
+                  backward=backward, op="recompute", check=False)
+
+
 def log_softmax_rows(a):
     """Row-wise log-softmax for classification heads."""
     a = _as_tensor(a)
@@ -462,18 +510,23 @@ def topo_order(output):
     return order
 
 
-def backward(output):
-    """Reverse-mode sweep from a scalar output; only leaf tensors keep .grad."""
-    if output.values.size != 1:
-        raise ShapeError("backward requires a scalar output")
-    output.accumulate_grad(np.ones_like(output.values))
+def _sweep(output, g):
+    """Reverse-mode sweep from output, seeded with its gradient g."""
+    output.accumulate_grad(g)
     # reverse topological order reaches a node once its gradient is complete
     for node in reversed(topo_order(output)):
         if node.grad is not None:
             _check_finite(node.grad, f"gradient of {node.op or 'tensor'}")
-            if node.parents:
+            if node._backward is not None:
                 node._backward(node.grad)
                 node.grad = None
+
+
+def backward(output):
+    """Reverse-mode sweep from a scalar output; only leaf tensors keep .grad."""
+    if output.values.size != 1:
+        raise ShapeError("backward requires a scalar output")
+    _sweep(output, np.ones_like(output.values))
 
 
 class Tape:

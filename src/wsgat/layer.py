@@ -7,6 +7,12 @@ their magnitudes sum to 1 per node. Aggregation is one sparse product,
 autodiff.propagate: each destination's row is the coefficient-weighted sum of
 the (optionally projected) source embeddings, with no per-edge message matrix.
 
+Between forward and backward a layer keeps no array with one row per edge
+and self-loop but each head's (E+N, 1) logits. The attention MLP's pair
+stage, and each head's softmax, projection and propagate, are
+autodiff.recompute nodes: backward runs them again, from the node rows and
+from (H, logits) respectively, over the edge arrays the forward computed.
+
 Mlp, which scores the edges here and the node pairs in the prediction heads,
 takes a node matrix and two index arrays and never builds the pair matrix:
 its first layer runs over the node rows (Mlp.rows) and the pair stage
@@ -145,7 +151,10 @@ class WsGatLayer:
         if H.shape[0] != g.num_nodes:
             raise ShapeError("feature row count must equal num_nodes")
         src, dst, w = self.edge_arrays(g)
-        return self.att[head](H, dst, src, Tensor(w[:, None]))  # (E+N, 1)
+        mlp, extra = self.att[head], Tensor(w[:, None])
+        # the pair stage's (E+N)-row arrays are recomputed in backward, not kept
+        return ad.recompute(lambda *rows: mlp.over_pairs(rows, dst, src, extra),
+                            *mlp.rows(H))  # (E+N, 1)
 
     def attention_coefficients(self, head, logits, g):
         """Signed softmax per destination node."""
@@ -154,12 +163,15 @@ class WsGatLayer:
 
     def forward(self, H, g):
         src, dst, _ = self.edge_arrays(g)
-        outs = []
-        for k in range(self.heads):
-            logits = self.attention_logits(k, H, g)
+
+        def head(k, H, logits):
             alpha = ad.segment_signed_softmax(ad.squeeze_col(logits), dst, g.num_nodes)
             z = ad.matmul(H, self.w_out[k]) if self.projection else H
-            outs.append(ad.propagate(z, alpha, src, dst, g.num_nodes))
+            return ad.propagate(z, alpha, src, dst, g.num_nodes)
+
+        # each head's (E+N)-row coefficients are recomputed in backward, not kept
+        outs = [ad.recompute(functools.partial(head, k), H, self.attention_logits(k, H, g))
+                for k in range(self.heads)]
         if self.heads == 1:
             merged = outs[0]
         elif self.head_merge == "concat":

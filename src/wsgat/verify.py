@@ -203,6 +203,9 @@ def _gradcheck_ops():
     alpha = Tensor(rng.standard_normal(4), requires_grad=True)
     check("propagate", lambda: ad.sum_(ad.tanh(ad.propagate(a, alpha, idx, [1, 0, 1, 1], 2))),
           [a, alpha])
+    y = Tensor(rng.standard_normal((3, 2)))  # needs no gradient; b and bias are closed over
+    check("recompute", lambda: ad.sum_(ad.tanh(ad.recompute(
+        lambda x, y: ad.mul(ad.linear(x, b, bias, "tanh"), y), a, y))), [a, b, bias])
     return failures
 
 

@@ -362,6 +362,62 @@ def test_activation_epilogue_gives_the_bits_of_the_standalone_activation(op, act
         assert x.grad.tolist() == [1.0, 1.0, 0.2]
 
 
+def test_leaky_relu_gives_the_bits_of_scaling_the_negative_entries():
+    """The forward max(x, 0.2 x) and the derivative g * where(x < 0, 0.2, 1)
+    give the bits of multiplying by 0.2 only where x < 0, at both zeros, the
+    subnormals and the extremes too."""
+    rng = np.random.default_rng(0)
+    edge = [0.0, -0.0, 5e-324, -5e-324, -1e-323, 2.5e-323, -2.2250738585072014e-308,
+            1.0, -1.0, 1.7976931348623157e308, -1.7976931348623157e308]
+    x = np.concatenate([rng.standard_normal(4000) * 10.0 ** rng.integers(-320, 300, 4000),
+                        edge]).reshape(-1, 3)
+    g = np.concatenate([rng.standard_normal(4000), edge[::-1]]).reshape(-1, 3)
+
+    def scaled(values, where):
+        out = values.copy()
+        np.multiply(out, 0.2, out=out, where=where)
+        return out
+
+    forward, grad = ad._ACTIVATIONS["leaky_relu"]
+    out = x.copy()
+    negative = forward(out)
+    assert np.array_equal(negative, x < 0)
+    assert out.tobytes() == scaled(x, x < 0).tobytes()
+    assert grad(g, out, negative).tobytes() == scaled(g, x < 0).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_recompute_gives_the_bits_of_the_plain_graph(seed):
+    """recompute(fn, *inputs) gives the values of fn(*inputs) and every gradient
+    to the bit: of the parameters fn closes over, of an input used twice, and
+    through an input that is itself a node. An input that needs no gradient
+    leaves its node requiring one when fn closes over a parameter, so that
+    parameter's gradient is not lost, and so does a recompute of no inputs.
+    Each parameter is used by one recompute only: one used inside and outside
+    may sum its terms in another order."""
+    rng = np.random.default_rng(seed)
+    shapes = ((6, 4), (6, 4), (4, 3), (3,), (4, 3), (3,), (4, 3), (3,))
+    values = [rng.standard_normal(s) for s in shapes]
+    g = rng.standard_normal((6, 3))
+
+    def run(recompute):
+        a = Tensor(values[0], requires_grad=True)
+        x = Tensor(values[1])
+        params = [Tensor(v, requires_grad=True) for v in values[2:]]
+        w, b, v, c, v2, p = params
+        r = recompute(lambda x: ad.linear(x, w, b, "tanh"), x)
+        assert r.requires_grad
+        u = ad.tanh(ad.take_rows(a, [0, 2, 1, 5, 4, 3]))
+        out = recompute(lambda u, r: ad.mul(ad.linear(u, v, c, "leaky_relu"),
+                                            ad.add(r, ad.matmul(u, v2))), u, r)
+        out = ad.add(out, recompute(lambda: ad.tanh(p)))
+        grads = _grads_after(ad.sum_(ad.mul(out, g)), [a] + params)
+        assert x.grad is None
+        return out.values.tobytes(), grads
+
+    assert run(ad.recompute) == run(lambda fn, *xs: fn(*xs))
+
+
 def test_activation_epilogue_checks_the_pre_activation():
     """tanh(inf) is 1, so the fused node checks the product before its activation."""
     big, huge = Tensor([[1e200]]), Tensor([[1e308]])

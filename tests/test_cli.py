@@ -268,7 +268,7 @@ def test_verify_oracle_suite():
     assert main(["verify", "oracle"]) == 0
 
 
-@pytest.mark.parametrize("op", ["matmul", "linear", "gather_sum", "propagate"])
+@pytest.mark.parametrize("op", ["matmul", "linear", "gather_sum", "propagate", "recompute"])
 def test_verify_gradcheck_fault_injection(monkeypatch, op):
     import wsgat.autodiff as ad
     from wsgat import verify

@@ -72,16 +72,24 @@ def test_attention_mlp_matches_the_dense_mlp_over_pair_features(seed):
 
 
 @pytest.mark.parametrize("heads", [1, 2])
-def test_forward_keeps_one_edge_wide_hidden_activation_per_head(heads):
-    """Per head, the attention MLP's hidden layer is one gather_sum node, with
-    the edge-weight term and the leaky_relu applied inside it: no add, matmul
-    or activation node over the edges."""
+def test_forward_keeps_no_edge_wide_array_but_the_logits(monkeypatch, heads):
+    """The only node of a layer's graph with one row per edge and self-loop is
+    each head's (E+N, 1) logits, a recompute node: the attention MLP's
+    attention_hidden-wide array, the coefficients and the messages are rebuilt
+    in backward. With recompute patched to a plain call they are kept, among
+    them one (E+N, attention_hidden) gather_sum per head: the check can fail."""
     g = random_graph(np.random.default_rng(0), 9, 0.4)
     layer = make_layer(in_width=4, out_width=3, heads=heads, attention_hidden=7)
-    out = layer.forward(Tensor(np.random.default_rng(1).standard_normal((9, 4))), g)
+    H = Tensor(np.random.default_rng(1).standard_normal((9, 4)))
     edge_rows = g.num_edges + g.num_nodes
-    wide = [t.op for t in ad.topo_order(ad.sum_(out)) if t.shape == (edge_rows, 7)]
-    assert wide == ["gather_sum"] * heads
+
+    def edge_wide():
+        nodes = ad.topo_order(ad.sum_(layer.forward(H, g)))
+        return [(t.op, t.shape[1:]) for t in nodes if t.shape[:1] == (edge_rows,)]
+
+    assert edge_wide() == [("recompute", (1,))] * heads
+    monkeypatch.setattr(ad, "recompute", lambda fn, *xs: fn(*xs))
+    assert edge_wide().count(("gather_sum", (7,))) == heads
 
 
 def test_mlp_rejects_an_input_of_the_wrong_width():

@@ -198,27 +198,37 @@ def test_no_pair_matrix_in_a_training_loss_graph(monkeypatch, task, fused):
 @pytest.mark.parametrize("task", ["sign", "signed-weight"])
 def test_no_message_matrix_in_a_training_loss_graph(monkeypatch, task, fused):
     """No node of a swept graph has one row per edge and self-loop (E + N) and
-    a layer's out_width columns: propagate aggregates without building the
-    messages. The three-op chain it replaces, patched in, builds them: the
-    check can fail."""
+    a layer's out_width columns, the messages, or attention_hidden columns,
+    the attention MLP's hidden layer: each head's edge-wide arrays live inside
+    recompute nodes, also with the three-op chain that propagate replaces
+    patched in (fused False). With recompute patched to a plain call, the
+    hidden layers are kept, and with the chain the messages too: the check
+    can fail."""
     if not fused:
         monkeypatch.setattr(ad, "propagate", lambda z, alpha, src, dst, n: ad.segment_sum(
             ad.scale_rows(ad.take_rows(z, src), alpha), dst, n))
-    offenders = []
+    config = tiny_config(layers=2, heads=2, hidden=3, embed=5, attention_hidden=4,
+                         head_hidden=7, epochs=1)
+    out_widths = {3, 5}  # the layers' out_width: hidden, then embed
+    hidden = {config.attention_hidden}
 
-    def check(model, output):
-        edge_rows = model.graph.num_edges + model.graph.num_nodes
-        out_widths = {lay.out_width for lay in model.stack.layers}
-        # the attention scorer's (E + N)-row nodes are attention_hidden or 1 wide
-        assert not out_widths & {1, model.config.attention_hidden}
-        offenders.extend(n.shape for n in ad.topo_order(output) if n.values.ndim == 2
-                         and n.shape[0] == edge_rows and n.shape[1] in out_widths)
+    def kept_widths(patch):
+        widths = set()
 
-    watch_sweeps(monkeypatch, check)
-    train(task, random_graph(np.random.default_rng(4), 12, 0.35),
-          tiny_config(layers=2, heads=2, hidden=3, embed=5, attention_hidden=4, head_hidden=7,
-                      epochs=1))
-    assert bool(offenders) != fused, offenders
+        def check(model, output):
+            edge_rows = model.graph.num_edges + model.graph.num_nodes
+            assert {lay.out_width for lay in model.stack.layers} == out_widths
+            widths.update(n.shape[1] for n in ad.topo_order(output) if n.values.ndim == 2
+                          and n.shape[0] == edge_rows and n.shape[1] in out_widths | hidden)
+
+        watch_sweeps(patch, check)
+        train(task, random_graph(np.random.default_rng(4), 12, 0.35), config)
+        return widths
+
+    with monkeypatch.context() as plain:
+        plain.setattr(ad, "recompute", lambda fn, *xs: fn(*xs))
+        assert kept_widths(plain) == (hidden if fused else hidden | out_widths)
+    assert kept_widths(monkeypatch) == set()
 
 
 @pytest.mark.parametrize("task", ["sign", "weight", "signed-weight"])
@@ -248,24 +258,59 @@ def test_no_head_activation_wider_than_a_chunk_in_a_swept_graph(monkeypatch, tas
 def test_a_swept_chunk_keeps_one_hidden_array_per_head_layer(monkeypatch, task):
     """A chunk's graph holds exactly head_layers - 1 arrays of its pairs by
     head_hidden: each hidden layer's tanh is applied inside the layer's
-    gather_sum or linear node."""
+    gather_sum or linear node. The last sweep, through the node rows and the
+    GNN, holds no array of one row per edge and self-loop wider than a
+    head's logits; with recompute patched to a plain call it holds each
+    head's attention_hidden-wide gather_sum, so that check can fail."""
     monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 4)
-    chunks = []
 
-    def check(model, output):
-        nodes = ad.topo_order(output)
-        if any(n.op == "propagate" for n in nodes):
-            return  # the last sweep, through the node rows and the GNN
-        pairs = next(n.shape[0] for n in nodes if n.op == "gather_sum")
-        assert pairs <= 4
-        chunks.append(sorted(n.op for n in nodes if n.shape == (pairs, model.config.head_hidden)))
+    def sweeps(patch):
+        chunks, last = [], []
 
-    watch_sweeps(monkeypatch, check)
-    train(task, random_graph(np.random.default_rng(4), 12, 0.35),
-          tiny_config(heads=2, embed=3, feature_dim=4, attention_hidden=4, head_hidden=7,
-                      head_layers=4, epochs=1))
+        def check(model, output):
+            nodes = ad.topo_order(output)
+            if any(n is model.X for n in nodes):  # the last sweep
+                edge_rows = model.graph.num_edges + model.graph.num_nodes
+                last.append(sorted(n.op for n in nodes if n.values.ndim == 2
+                                   and n.shape[0] == edge_rows and n.shape[1] > 1))
+                return
+            pairs = next(n.shape[0] for n in nodes if n.op == "gather_sum")
+            assert pairs <= 4
+            chunks.append(sorted(n.op for n in nodes
+                                 if n.shape == (pairs, model.config.head_hidden)))
+
+        watch_sweeps(patch, check)
+        train(task, random_graph(np.random.default_rng(4), 12, 0.35),
+              tiny_config(heads=2, embed=3, feature_dim=4, attention_hidden=4, head_hidden=7,
+                          head_layers=4, epochs=1))
+        return chunks, last
+
+    with monkeypatch.context() as plain:
+        plain.setattr(ad, "recompute", lambda fn, *xs: fn(*xs))
+        assert sweeps(plain)[1] == [["gather_sum", "gather_sum"]]
+    chunks, last = sweeps(monkeypatch)
     assert len(chunks) > 3
     assert all(ops == ["gather_sum", "linear", "linear"] for ops in chunks), chunks
+    assert last == [[]]
+
+
+@pytest.mark.parametrize("projection", [True, False])
+def test_one_epoch_changes_every_gnn_parameter(monkeypatch, projection):
+    """Layer 0's input X needs no gradient, but its parameters do, and so do
+    those of every later layer: one step moves each of them."""
+    loop, before = pipelines._train_loop, {}
+
+    def watched_loop(model, *args):
+        before.update(model.parameter_arrays())
+        return loop(model, *args)
+
+    monkeypatch.setattr(pipelines, "_train_loop", watched_loop)
+    model, _ = train("sign", random_graph(np.random.default_rng(4), 12, 0.35),
+                     tiny_config(layers=2, heads=2, projection=projection, epochs=1))
+    after = model.parameter_arrays()
+    gnn = [k for k in after if k.startswith(("gnn0.", "gnn1."))]
+    assert len(gnn) == 2 * 2 * (5 if projection else 4)  # layers x heads x (w0..b1, w_out)
+    assert [k for k in gnn if np.array_equal(after[k], before[k])] == []
 
 
 def loss_and_gradients(monkeypatch, task, chunk_rows):
