@@ -111,8 +111,13 @@ def _leaky_relu_(x):
     return negative
 
 
+# the slope of each side, indexed by the negative mask's bytes: the values
+# np.where(negative, 0.2, 1.0) picks, without its slower select
+_LEAKY_SLOPES = np.array([1.0, 0.2])
+
+
 def _leaky_relu_grad(g, out, negative):
-    return g * np.where(negative, 0.2, 1.0)
+    return g * _LEAKY_SLOPES[negative.view(np.uint8)]
 
 
 # activation name -> (apply in place to x, returning what the derivative

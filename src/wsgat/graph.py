@@ -19,6 +19,16 @@ def pair_keys(src, dst, num_nodes):
     return np.asarray(src, dtype=np.int64) * num_nodes + np.asarray(dst, dtype=np.int64)
 
 
+def _member(x, sorted_keys):
+    """Boolean mask: which entries of ``x`` occur in the ascending ``sorted_keys``.
+
+    A binary search: on int64 pair keys numpy's hash-based ``np.isin`` (and
+    ``np.unique`` without ``return_index``) take many times as long as a sort."""
+    if len(sorted_keys) == 0:
+        return np.zeros(np.shape(x), dtype=bool)
+    return sorted_keys.take(np.searchsorted(sorted_keys, x), mode="clip") == x
+
+
 @dataclass(frozen=True)
 class SignedWeightedGraph:
     """Immutable directed graph with signed, nonzero real edge weights.
@@ -46,7 +56,8 @@ class SignedWeightedGraph:
             raise ValueError("self-loops are not allowed in the stored edge list")
         if not np.all(np.isfinite(weight)) or np.any(weight == 0.0):
             raise ValueError("edge weights must be finite and nonzero")
-        if len(np.unique(pair_keys(src, dst, num_nodes))) != len(src):
+        keys = np.sort(pair_keys(src, dst, num_nodes))
+        if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate (src, dst) pairs")
         if len(node_labels) not in (0, num_nodes):
             raise ValueError(f"{len(node_labels)} node labels for {num_nodes} nodes")
@@ -90,16 +101,17 @@ def load_edge_list(path, fmt=None, symmetrize=False):
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
 
-    raw = []  # (src_label, dst_label, weight) in file order
-    first_record = True
+    srcs, dsts, weights = [], [], []  # labels and weights in file order
+    tsv3 = fmt == "tsv3"
+    header_allowed = fmt == "csv4"  # until the first record
     try:
         with open(path, "r", encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.strip()
-                if not line or line.startswith("#"):
+                if not line or line[0] == "#":
                     continue
-                is_first, first_record = first_record, False
-                if fmt == "tsv3":
+                is_header_line, header_allowed = header_allowed, False
+                if tsv3:
                     parts = line.split("\t")
                     if len(parts) == 1:
                         parts = line.split()
@@ -114,28 +126,32 @@ def load_edge_list(path, fmt=None, symmetrize=False):
                 try:
                     wv = float(w)
                 except ValueError:
-                    if is_first and fmt == "csv4":
-                        continue  # header row
+                    if is_header_line:
+                        continue  # csv4 header row
                     raise GraphParseError(path, lineno, f"bad weight {w!r}") from None
-                if not np.isfinite(wv):
+                if not math.isfinite(wv):
                     raise GraphParseError(path, lineno, f"non-finite weight {w!r}")
                 if wv == 0.0:
                     raise GraphParseError(path, lineno, "zero weight (0 is reserved for non-existent links)")
                 s, d = s.strip(), d.strip()
-                raw.append((s, d, wv))
+                srcs.append(s)
+                dsts.append(d)
+                weights.append(wv)
                 if symmetrize and s != d:
-                    raw.append((d, s, wv))
+                    srcs.append(d)
+                    dsts.append(s)
+                    weights.append(wv)
     except UnicodeDecodeError as e:
         raise GraphParseError(path, None, f"not UTF-8 text ({e.reason})") from None
 
-    if not raw:
+    if not srcs:
         raise EmptyGraphError(f"{path}: no edges parsed")
 
-    labels = sorted({s for s, _, _ in raw} | {d for _, d, _ in raw}, key=_label_key)
+    labels = sorted(set(srcs).union(dsts), key=_label_key)
     index = {lab: i for i, lab in enumerate(labels)}
-    src = np.array([index[s] for s, _, _ in raw], dtype=np.int64)
-    dst = np.array([index[d] for _, d, _ in raw], dtype=np.int64)
-    weight = np.array([w for _, _, w in raw], dtype=np.float64)
+    src = np.fromiter(map(index.__getitem__, srcs), dtype=np.int64, count=len(srcs))
+    dst = np.fromiter(map(index.__getitem__, dsts), dtype=np.int64, count=len(dsts))
+    weight = np.array(weights, dtype=np.float64)
     loop_free = src != dst
     if not loop_free.any():
         raise EmptyGraphError(f"{path}: only self-loops present")
@@ -177,9 +193,9 @@ def save_edge_list(g, path):
     Raises GraphWriteError, before the directory or the file is made, for a
     node label that tsv3 cannot hold."""
     labels = [str(lab) for lab in g.node_labels] or [str(i) for i in range(g.num_nodes)]
-    sources = set(np.unique(g.src).tolist())
-    for i, label in enumerate(labels):
-        fault = _tsv3_label_fault(label, i in sources)
+    is_source = (np.bincount(g.src, minlength=g.num_nodes) > 0).tolist()
+    for label, source in zip(labels, is_source):
+        fault = _tsv3_label_fault(label, source)
         if fault:
             raise GraphWriteError(f"{path}: node label {label!r} cannot be written to tsv3: {fault}")
     os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
@@ -254,20 +270,33 @@ def sample_negative_edges(g, count, seed):
         raise SamplingExhaustedError(
             f"requested {count} negatives but only {capacity} non-edges exist"
         )
-    edges = g.edge_keys()
+    edges = np.sort(g.edge_keys())
     keys = np.zeros(0, dtype=np.int64)  # accepted pairs, in order
     for _ in range(200):
         need = count - len(keys)
         if need == 0:
             break
         batch = rng.integers(0, n, size=(max(4 * need, 64), 2))
-        drawn = pair_keys(batch[:, 0], batch[:, 1], n)
-        drawn = drawn[(batch[:, 0] != batch[:, 1]) & ~np.isin(drawn, edges) & ~np.isin(drawn, keys)]
-        _, first = np.unique(drawn, return_index=True)
+        taken = np.sort(keys)
+        # a prefix of the batch that holds `need` distinct admissible draws
+        # holds the batch's first `need`: filter a prefix, widening it until it
+        # does. Admissibility is tested on np.unique's sorted distinct keys,
+        # which the binary searches run faster on
+        size = need + need // 8 + 64
+        while True:
+            head = batch[:size]
+            drawn = pair_keys(head[:, 0], head[:, 1], n)
+            distinct, first = np.unique(drawn, return_index=True)
+            first = first[(head[first, 0] != head[first, 1]) & ~_member(distinct, edges)
+                          & ~_member(distinct, taken)]
+            if len(first) >= need or size >= len(batch):
+                break
+            size *= 2
         keys = np.concatenate([keys, drawn[np.sort(first)[:need]]])
     if len(keys) < count:
         # dense graph: fall back to enumerating the remaining non-edges
-        remaining = np.setdiff1d(np.arange(n * n), np.concatenate([edges, keys]))
+        remaining = np.arange(n * n)
+        remaining = remaining[~_member(remaining, np.sort(np.concatenate([edges, keys])))]
         remaining = remaining[remaining // n != remaining % n]
         rng.shuffle(remaining)
         keys = np.concatenate([keys, remaining[: count - len(keys)]])

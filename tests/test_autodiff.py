@@ -363,9 +363,9 @@ def test_activation_epilogue_gives_the_bits_of_the_standalone_activation(op, act
 
 
 def test_leaky_relu_gives_the_bits_of_scaling_the_negative_entries():
-    """The forward max(x, 0.2 x) and the derivative g * where(x < 0, 0.2, 1)
-    give the bits of multiplying by 0.2 only where x < 0, at both zeros, the
-    subnormals and the extremes too."""
+    """The forward max(x, 0.2 x) and the derivative g * slope[x < 0] give the
+    bits of multiplying by 0.2 only where x < 0, and the derivative those of
+    g * where(x < 0, 0.2, 1), at both zeros, the subnormals and the extremes too."""
     rng = np.random.default_rng(0)
     edge = [0.0, -0.0, 5e-324, -5e-324, -1e-323, 2.5e-323, -2.2250738585072014e-308,
             1.0, -1.0, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -384,6 +384,7 @@ def test_leaky_relu_gives_the_bits_of_scaling_the_negative_entries():
     assert np.array_equal(negative, x < 0)
     assert out.tobytes() == scaled(x, x < 0).tobytes()
     assert grad(g, out, negative).tobytes() == scaled(g, x < 0).tobytes()
+    assert grad(g, out, negative).tobytes() == (g * np.where(x < 0, 0.2, 1.0)).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -9,6 +9,7 @@ from wsgat.errors import (EmptyGraphError, GraphParseError, GraphWriteError,
 from wsgat.graph import (
     SignedWeightedGraph,
     _label_key,
+    _member,
     pair_keys,
     load_edge_list,
     save_edge_list,
@@ -74,6 +75,132 @@ def test_file_that_is_not_utf8_raises_graph_parse_error(tmp_path):
     with pytest.raises(GraphParseError, match="not UTF-8 text") as e:
         load_edge_list(p)
     assert e.value.lineno is None and str(e.value).startswith(f"{p}: ")
+
+
+def loop_load_edge_list(path, fmt=None, symmetrize=False):
+    """Reference loader: one (src, dst, weight) tuple per record, labels indexed
+    by a list comprehension, np.isfinite on each weight."""
+    if fmt is None:
+        fmt = "csv4" if str(path).endswith(".csv") else "tsv3"
+    raw = []
+    first_record = True
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                is_first, first_record = first_record, False
+                if fmt == "tsv3":
+                    parts = line.split("\t")
+                    if len(parts) == 1:
+                        parts = line.split()
+                    if len(parts) != 3:
+                        raise GraphParseError(path, lineno, f"expected 3 fields, got {len(parts)}")
+                    s, d, w = parts
+                else:
+                    parts = line.split(",")
+                    if len(parts) < 3:
+                        raise GraphParseError(path, lineno, f"expected >=3 comma fields, got {len(parts)}")
+                    s, d, w = parts[0], parts[1], parts[2]
+                try:
+                    wv = float(w)
+                except ValueError:
+                    if is_first and fmt == "csv4":
+                        continue  # header row
+                    raise GraphParseError(path, lineno, f"bad weight {w!r}") from None
+                if not np.isfinite(wv):
+                    raise GraphParseError(path, lineno, f"non-finite weight {w!r}")
+                if wv == 0.0:
+                    raise GraphParseError(path, lineno, "zero weight (0 is reserved for non-existent links)")
+                s, d = s.strip(), d.strip()
+                raw.append((s, d, wv))
+                if symmetrize and s != d:
+                    raw.append((d, s, wv))
+    except UnicodeDecodeError as e:
+        raise GraphParseError(path, None, f"not UTF-8 text ({e.reason})") from None
+    if not raw:
+        raise EmptyGraphError(f"{path}: no edges parsed")
+    labels = sorted({s for s, _, _ in raw} | {d for _, d, _ in raw}, key=_label_key)
+    index = {lab: i for i, lab in enumerate(labels)}
+    src = np.array([index[s] for s, _, _ in raw], dtype=np.int64)
+    dst = np.array([index[d] for _, d, _ in raw], dtype=np.int64)
+    weight = np.array([w for _, _, w in raw], dtype=np.float64)
+    loop_free = src != dst
+    if not loop_free.any():
+        raise EmptyGraphError(f"{path}: only self-loops present")
+    src, dst, weight = src[loop_free], dst[loop_free], weight[loop_free]
+    keys = pair_keys(src, dst, len(labels))
+    _, first_reversed = np.unique(keys[::-1], return_index=True)
+    last = len(keys) - 1 - first_reversed
+    return SignedWeightedGraph.from_edges(len(labels), src[last], dst[last], weight[last], labels)
+
+
+_LABELS = ["1", "2", "10", "-3", "0.5", "1e3", "nan", "inf", "alice", "bob smith", "#x", "é"]
+_WEIGHTS = ["1", "-2.5", "0.5", " 3 ", "7e-1", "-10"]
+_FAULTY_WEIGHTS = ["0", "-0.0", "nan", "inf", "-inf", "x", "1,5", ""]
+
+
+def _random_edge_file(rng, csv4):
+    """Bytes of a small edge list: mostly valid records, with comments, blank and
+    whitespace-only lines, mixed line endings, self-loops, duplicates and, now
+    and then, a faulty line."""
+    labels = list(rng.choice(_LABELS, size=int(rng.integers(2, 6)), replace=False))
+    lines = []
+    if csv4 and rng.random() < 0.5:
+        lines.append(str(rng.choice(["SOURCE,TARGET,RATING,TIME", "a,b,RATING", "s,d,w"])))
+    for _ in range(int(rng.integers(0, 12))):
+        u = rng.random()
+        if u < 0.1:
+            lines.append(str(rng.choice(["# comment", "", "   ", "\t", "#a\tb\t1"])))
+            continue
+        s, d = rng.choice(labels, size=2)
+        fault = rng.random()  # < 0.03: a faulty weight; < 0.05: a wrong field count
+        w = str(rng.choice(_FAULTY_WEIGHTS if fault < 0.03 else _WEIGHTS))
+        if csv4:
+            fields = [s, d, w] + ["1289241911"] * int(rng.integers(0, 2))
+            if 0.03 <= fault < 0.05:
+                fields = fields[: int(rng.integers(1, 3))]
+            lines.append(",".join(fields))
+        else:
+            sep = str(rng.choice(["\t", "\t", " ", "  ", " \t"]))
+            fields = [s, d, w] + ["extra"] * int(0.03 <= fault < 0.05)
+            lines.append(sep.join(fields))
+        if u > 0.99:
+            lines.append("late,header,RATING")
+    ends = rng.choice(["\n", "\r\n", "\r"], size=len(lines))
+    data = "".join(f"{line}{end}" for line, end in zip(lines, ends)).encode("utf-8")
+    if rng.random() < 0.03:
+        cut = int(rng.integers(0, len(data) + 1))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+def _load_outcome(load, path, fmt, symmetrize):
+    try:
+        g = load(path, fmt, symmetrize)
+    except (GraphParseError, EmptyGraphError) as e:
+        return type(e), str(e), getattr(e, "lineno", None)
+    return (g.num_nodes, g.node_labels, g.src.tobytes(), g.dst.tobytes(),
+            g.weight.tobytes(), g.src.dtype, g.weight.dtype)
+
+
+def test_load_matches_loop_reference(tmp_path):
+    rng = np.random.default_rng(0)
+    kinds = set()
+    for i in range(600):
+        csv4 = i % 2 == 1
+        path = tmp_path / f"g{i}.{'csv' if csv4 else 'tsv'}"
+        path.write_bytes(_random_edge_file(rng, csv4))
+        for symmetrize in (False, True):
+            want = _load_outcome(loop_load_edge_list, path, None, symmetrize)
+            assert _load_outcome(load_edge_list, path, None, symmetrize) == want, path.read_bytes()
+            if len(want) == 3:  # the first word of the message after "path[:lineno]: "
+                kinds.add(re.match(rf"{re.escape(str(path))}(:\d+)?: (\S+)", want[1])[2])
+            else:
+                kinds.add("graph")
+    # every error kind and the valid outcome were reached
+    assert kinds >= {"graph", "expected", "bad", "non-finite", "zero", "not", "no", "only"}
 
 
 def test_label_order_does_not_depend_on_input_order():
@@ -179,6 +306,19 @@ def test_from_edges_rejects_node_ids_out_of_range(src, dst):
 def test_from_edges_rejects_duplicate_pairs():
     with pytest.raises(ValueError, match="duplicate"):
         SignedWeightedGraph.from_edges(3, [0, 1, 0], [1, 2, 1], [1.0, 1.0, -1.0])
+    # unsorted input whose first and last pair are the same, (2, 0)
+    with pytest.raises(ValueError, match="duplicate"):
+        SignedWeightedGraph.from_edges(3, [2, 0, 1, 1, 2], [0, 1, 2, 0, 0], np.ones(5))
+
+
+def test_member_matches_isin():
+    rng = np.random.default_rng(0)
+    for n_keys in (0, 1, 2, 50):
+        keys = np.sort(rng.choice(100, size=n_keys, replace=False)).astype(np.int64)
+        for x in (np.zeros(0, dtype=np.int64), np.arange(-3, 104), rng.integers(-5, 110, 40)):
+            got = _member(x, keys)
+            assert got.dtype == bool and got.shape == x.shape
+            assert np.array_equal(got, np.isin(x, keys))
 
 
 @pytest.mark.parametrize("labels", [("a",), ("a", "b"), ("a", "b", "c", "d")])
@@ -314,6 +454,32 @@ def loop_sample_negative_edges(g, count, seed):
         rng.shuffle(remaining)
         out.extend(remaining[: count - len(out)])
     return np.array(out, dtype=np.int64)
+
+
+def test_negative_sampling_matches_loop_reference_on_2000_nodes():
+    rng = np.random.default_rng(1)
+    src, dst = rng.integers(0, 2000, size=(2, 30000))
+    keep = np.unique(pair_keys(src, dst, 2000)[src != dst])
+    g = SignedWeightedGraph.from_edges(2000, keep // 2000, keep % 2000, np.ones(len(keep)))
+    for count in (1, 20000, 50000):
+        got = sample_negative_edges(g, count, count)
+        assert np.array_equal(got, loop_sample_negative_edges(g, count, count))
+
+
+def test_negative_sampling_matches_loop_reference_across_prefix_widths():
+    # a round that needs more than 22 pairs filters a prefix of its batch
+    # first; on 20-60 nodes a prefix often holds just as many admissible
+    # draws as needed, or one short, so an off-by-one in when to widen it shows
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(20, 60))
+        m = rng.random((n, n)) < rng.uniform(0.0, 0.3)
+        np.fill_diagonal(m, False)
+        src, dst = np.nonzero(m)
+        g = SignedWeightedGraph.from_edges(n, src, dst, np.ones(len(src)))
+        count, seed = int(rng.integers(1, (n * n - n - len(src)) // 3)), int(rng.integers(2**30))
+        assert np.array_equal(sample_negative_edges(g, count, seed),
+                              loop_sample_negative_edges(g, count, seed))
 
 
 def test_negative_sampling_matches_loop_reference():

@@ -9,9 +9,10 @@ import pytest
 
 from wsgat import autodiff as ad, layer, pipelines
 from wsgat.errors import ConfigError, DegenerateTaskError
-from wsgat.graph import SignedWeightedGraph, normalize_weights, split_edges
+from wsgat.graph import EdgeSplit, SignedWeightedGraph, normalize_weights, split_edges
 from wsgat.metrics import roc_auc
-from wsgat.pipelines import TaskModel, TrainConfig, _val_slice, evaluate, train
+from wsgat.pipelines import (TaskModel, TrainConfig, _check_hygiene, _val_slice, evaluate,
+                             train)
 
 from wsgat.verify import dense_mlp_reference, random_graph
 
@@ -34,6 +35,28 @@ def test_signed_weight_task_rejects_all_positive_graph():
     g = SignedWeightedGraph.from_edges(3, [0, 1], [1, 2], [1.0, 2.0])
     with pytest.raises(DegenerateTaskError):
         train("signed-weight", g, tiny_config())
+
+
+@pytest.mark.parametrize("leak, message", [
+    ("test_pos", "test positives leaked into training edges"),
+    ("test_neg", "test negatives collide with training edges"),
+])
+def test_hygiene_check_rejects_a_test_pair_that_is_a_train_edge(leak, message):
+    g = random_graph(np.random.default_rng(2), 20, 0.3)
+    split = split_edges(g, 0.8, seed=5)
+    _check_hygiene(split)
+    tg = split.train_graph
+    # the train edge that sorts last, so a search past the end must still find it
+    last = int(np.argmax(tg.edge_keys()))
+    pair = [tg.src[last], tg.dst[last]]
+    test_pos, test_neg = split.test_pos.copy(), split.test_neg.copy()
+    if leak == "test_pos":
+        test_pos[-1, :2] = pair
+    else:
+        test_neg[0] = pair
+    leaked = EdgeSplit(tg, test_pos, split.train_neg, test_neg, split.seed)
+    with pytest.raises(RuntimeError, match=message):
+        _check_hygiene(leaked)
 
 
 def test_unknown_task_rejected():
