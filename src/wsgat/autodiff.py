@@ -35,7 +35,10 @@ recompute(fn, *inputs) is gradient checkpointing: fn(*inputs) as one node
 that keeps only its inputs and its output, and runs fn again in backward to
 sweep the graph it dropped, through the private _sweep that backward() also
 runs. A graph layer keeps no edge-wide array between forward and backward
-that way.
+that way. relay(value, inputs, leaves) is the root of a loss swept in parts
+on leaf copies of `inputs`: a scalar whose backward moves each leaf's
+gathered gradient to its input. Both hand the gradients on through one
+private helper, _leaf_grads.
 
 Row scatters (segment_sum forward, take_rows and gather_sum backward) are one
 sparse incidence-matrix product, and propagate's forward and z gradient one
@@ -145,13 +148,33 @@ def _node(values, op, *grads, act=None):
     def backward(g):
         if act is not None:
             g = grad(g, values, saved)
-        for parent, fn in grads:
-            if parent.requires_grad:
-                parent.accumulate_grad(fn(g))
+        _accumulate(grads, g)
 
     # an activation maps finite values to finite values, so the check above stands
     return Tensor(values, parents=tuple(p for p, _ in grads), backward=backward, op=op,
                   check=act is None)
+
+
+def _accumulate(grads, g):
+    """Accumulate fn(g) into each parent of the (parent, fn) pairs that requires a gradient."""
+    for parent, fn in grads:
+        if parent.requires_grad:
+            parent.accumulate_grad(fn(g))
+
+
+def _leaf_grads(inputs, leaves):
+    """The hand-off from leaf copies to the tensors they copy, shared by
+    recompute and relay: a (parent, fn) pair per input whose leaf gathered a
+    gradient, fn giving that gradient itself. The gradient moves: the leaf
+    keeps no .grad and fn lets go of it once called, so the input is left as
+    its only holder, which backward frees once it has passed it on."""
+    grads = []
+    for x, leaf in zip(inputs, leaves):
+        if leaf.grad is not None:
+            held = [leaf.grad]
+            grads.append((x, lambda g, held=held: held.pop()))
+            leaf.grad = None
+    return grads
 
 
 def _unbroadcast(g, shape):
@@ -477,12 +500,24 @@ def recompute(fn, *inputs):
     def backward(g):
         leaves, rerun = run()
         _sweep(rerun, g)
-        for x, leaf in zip(inputs, leaves):
-            if x.requires_grad and leaf.grad is not None:
-                x.accumulate_grad(leaf.grad)
+        _accumulate(_leaf_grads(inputs, leaves), g)
 
     return Tensor(out.values, requires_grad=out.requires_grad, parents=inputs,
                   backward=backward, op="recompute", check=False)
+
+
+def relay(value, inputs, leaves):
+    """A scalar node of value ``value`` whose backward gives each of ``inputs``
+    the gradient its leaf copy in ``leaves`` has gathered: the last step of a
+    loss swept in parts on leaf copies of some tensors, which carries those
+    gradients on through the graph behind the tensors.
+
+    Valid only as the root of backward(), whose seed is exactly 1.0: the
+    gradients are handed on as they are, not scaled by the node's own. The
+    leaves give their gradients up to the node, and a leaf that gathered none
+    hands on none.
+    """
+    return _node(np.float64(value), "relay", *_leaf_grads(inputs, leaves))
 
 
 def log_softmax_rows(a):

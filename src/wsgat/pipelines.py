@@ -16,14 +16,14 @@ Every loss and every evaluation computes the embeddings and each head's node
 rows (Mlp.rows) once, then runs the head's pair stage over chunks of at most
 _PAIR_CHUNK_ROWS pairs (_head_chunks), so a head's activations take
 chunk-sized memory, not pair-count-sized. A training loss runs the chunks on
-leaf copies of the rows and sweeps each backward at once; one last sweep
-carries the gradients the leaves gathered through the rows and the GNN.
+leaf copies of the rows and sweeps each backward at once; one last sweep, from
+an autodiff.relay node, carries the gradients the leaves gathered through the
+rows and the GNN.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -271,13 +271,14 @@ def _pair_loss(model, terms, sweep):
     at most _PAIR_CHUNK_ROWS pairs runs the head on leaf copies of the rows,
     weighted by its share of the pairs, and is swept backward and freed before
     the next, so the leaves and the head weights gather the chunks'
-    gradients. A last sweep, seeded with sum(rows * leaf gradient), whose
-    gradient for the rows is the leaf gradient itself, carries them through
-    the rows and the GNN.
+    gradients. A last sweep, from an autodiff.relay node that moves each
+    leaf's gradient to its row, carries them through the rows and the GNN and
+    frees each once its row has passed it on.
     """
     emb = model.embeddings()
     rows = {head: head.rows(emb) for head, *_ in terms}
-    leaves = {head: tuple(Tensor(r.values, requires_grad=True) for r in rows[head])
+    # the rows' nodes have checked these values already
+    leaves = {head: tuple(Tensor(r.values, requires_grad=True, check=False) for r in rows[head])
               for head in rows}
     total = 0.0
     for head, pairs, targets, loss, weight in terms:
@@ -290,9 +291,8 @@ def _pair_loss(model, terms, sweep):
     if sweep:
         # the heads' rows in order, each head's first before its second: the
         # order in which one graph over all pairs adds their gradients
-        model.tape.backward(functools.reduce(ad.add, [
-            ad.sum_(ad.mul(r, leaf.grad)) for head in rows
-            for r, leaf in zip(rows[head], leaves[head])]))
+        model.tape.backward(ad.relay(total, [r for head in rows for r in rows[head]],
+                                     [leaf for head in rows for leaf in leaves[head]]))
     return total
 
 

@@ -206,6 +206,24 @@ def _gradcheck_ops():
     y = Tensor(rng.standard_normal((3, 2)))  # needs no gradient; b and bias are closed over
     check("recompute", lambda: ad.sum_(ad.tanh(ad.recompute(
         lambda x, y: ad.mul(ad.linear(x, b, bias, "tanh"), y), a, y))), [a, b, bias])
+    b2 = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    w_chunk = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+
+    def relay_loss():
+        # a chunked pair loss in miniature: two chunks of pairs swept on leaf
+        # copies of the rows, then relay as the root. Only a, b, bias and b2
+        # are checked: fd_gradcheck zeroes the grads the chunk sweeps gave w_chunk
+        rows = (ad.linear(a, b, bias, "tanh"), ad.linear(a, b2, bias))
+        leaves = [Tensor(r.values, requires_grad=True, check=False) for r in rows]
+        total = 0.0
+        for first, second in (([0, 2], [1, 1]), ([2, 1, 0], [0, 2, 2])):
+            chunk = ad.sum_(ad.tanh(ad.matmul(
+                ad.tanh(ad.gather_sum(leaves[0], first, leaves[1], second)), w_chunk)))
+            ad.backward(chunk)
+            total += float(chunk.values)
+        return ad.relay(total, rows, leaves)
+
+    check("relay", relay_loss, [a, b, bias, b2])
     return failures
 
 

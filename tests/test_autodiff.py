@@ -1,3 +1,4 @@
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -417,6 +418,45 @@ def test_recompute_gives_the_bits_of_the_plain_graph(seed):
         return out.values.tobytes(), grads
 
     assert run(ad.recompute) == run(lambda fn, *xs: fn(*xs))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_relay_hands_on_the_bits_its_leaves_gathered(seed):
+    """relay(value, inputs, leaves) is a scalar of value `value`. As the root of
+    backward it gives each input exactly the gradient its leaf copy gathered:
+    an input that is a leaf keeps those bits, and one that is a node carries
+    them on through its graph, with the bits of the sum(input * gradient) loss
+    it replaces, and frees them there. An input that needs no gradient, and
+    one whose leaf gathered none, get nothing."""
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal(s) for s in ((5, 3), (5, 4), (4, 3), (5, 3), (5, 3), (3, 3))]
+
+    def run(root):
+        q, p, w = (Tensor(v, requires_grad=True) for v in values[:3])
+        const, unused = Tensor(values[3]), Tensor(values[4], requires_grad=True)
+        inputs = [q, ad.matmul(p, w), const, unused]
+        leaves = [Tensor(x.values, requires_grad=x.requires_grad, check=False) for x in inputs]
+        chunk = ad.sum_(ad.tanh(ad.add(ad.matmul(leaves[0], values[5]),
+                                       ad.mul(leaves[1], leaves[2]))))
+        ad.backward(chunk)
+        gathered = [None if leaf.grad is None else leaf.grad.copy() for leaf in leaves]
+        node_grad = weakref.ref(leaves[1].grad)
+        out = root(float(chunk.values), inputs, leaves)
+        ad.backward(out)
+        assert const.grad is None and unused.grad is None
+        return (float(chunk.values), out, gathered, [t.grad.tobytes() for t in (q, p, w)],
+                [leaf.grad for leaf in leaves], node_grad)
+
+    value, out, gathered, grads, left, node_grad = run(ad.relay)
+    assert out.shape == () and float(out.values) == value
+    assert gathered[2] is None and gathered[3] is None
+    assert left == [None] * 4 and node_grad() is None  # given up to the relay, then freed
+    assert grads[0] == gathered[0].tobytes()
+    assert grads[1:] == [(gathered[1] @ values[2].T).tobytes(),
+                         (values[1].T @ gathered[1]).tobytes()]
+    stand_in = run(lambda total, inputs, leaves: ad.add(*[
+        ad.sum_(ad.mul(x, leaf.grad)) for x, leaf in zip(inputs[:2], leaves)]))
+    assert stand_in[3] == grads and stand_in[5]() is not None
 
 
 def test_activation_epilogue_checks_the_pre_activation():

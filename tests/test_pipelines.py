@@ -186,35 +186,38 @@ def test_heads_match_the_dense_mlp_over_pair_input(task, head, seed):
 def test_no_pair_matrix_in_a_training_loss_graph(monkeypatch, task, fused):
     """No node of a swept graph is a pair-wide input (2*embed columns for a
     head, 2*F+1 for an attention scorer with F-wide input) over more than the
-    node rows. The dense reference of each MLP, patched in, builds them (a
-    head's rows are then the embeddings themselves): the check can fail."""
+    node rows. With every MLP's pair stage patched to its dense reference over
+    the pair matrix (its rows then the node matrix itself) and recompute to a
+    plain call, which keeps the scorers' pair stages in the graph, each of
+    those widths appears: the check can fail for the heads and for every
+    layer's scorer."""
     if not fused:
-        def dense(mlp, H, first, second, extra=None):
-            extra = () if extra is None else (extra,)
-            return dense_mlp_reference(mlp, layer.pair_features(H, first, second, *extra))
-        monkeypatch.setattr(layer.Mlp, "__call__", dense)
-        monkeypatch.setattr(pipelines.PairHead, "rows", lambda head, H: (H, H))
-        monkeypatch.setattr(pipelines.PairHead, "__call__", lambda head, rows, first, second:
-                            dense_mlp_reference(head, ad.concat([ad.take_rows(rows[0], first),
-                                                                 ad.take_rows(rows[1], second)],
-                                                                axis=1)))
-    offenders = []
+        def dense(mlp, rows, first, second, extra=None):
+            extra = [] if extra is None else [extra]
+            return dense_mlp_reference(mlp, ad.concat(
+                [ad.take_rows(rows[0], first), ad.take_rows(rows[1], second)] + extra, axis=1))
+        monkeypatch.setattr(layer.Mlp, "rows", lambda mlp, H: (H, H))
+        monkeypatch.setattr(layer.Mlp, "over_pairs", dense)
+        monkeypatch.setattr(pipelines.PairHead, "__call__", dense)
+        monkeypatch.setattr(ad, "recompute", lambda fn, *xs: fn(*xs))
+    offenders, pair_widths = set(), set()
 
     def check(model, output):
-        pair_widths = {2 * model.stack.out_width} | {2 * lay.in_width + 1
-                                                     for lay in model.stack.layers}
+        pair_widths.update({2 * model.stack.out_width} | {2 * lay.in_width + 1
+                                                          for lay in model.stack.layers})
         # none of the other widths in play is a pair width
         assert not pair_widths & {model.X.shape[1], model.config.attention_hidden,
                                   model.config.head_hidden,
                                   model.config.hidden * model.config.heads}
-        offenders.extend(n.shape for n in ad.topo_order(output) if n.values.ndim == 2
+        offenders.update(n.shape[1] for n in ad.topo_order(output) if n.values.ndim == 2
                          and n.shape[1] in pair_widths and n.shape[0] > model.graph.num_nodes)
 
     watch_sweeps(monkeypatch, check)
     train(task, random_graph(np.random.default_rng(4), 12, 0.35),
           tiny_config(layers=2, heads=2, hidden=3, embed=5, feature_dim=4, attention_hidden=4,
                       head_hidden=7, epochs=1))
-    assert bool(offenders) != fused, offenders
+    assert len(pair_widths) == 3  # the heads', then layer 0's and layer 1's scorer
+    assert offenders == (set() if fused else pair_widths), offenders
 
 
 @pytest.mark.parametrize("fused", [True, False])
@@ -315,6 +318,36 @@ def test_a_swept_chunk_keeps_one_hidden_array_per_head_layer(monkeypatch, task):
     assert len(chunks) > 3
     assert all(ops == ["gather_sum", "linear", "linear"] for ops in chunks), chunks
     assert last == [[]]
+
+
+@pytest.mark.parametrize("task", ["sign", "weight", "signed-weight"])
+def test_last_sweep_keeps_no_node_rows_by_head_hidden_but_the_heads_rows(monkeypatch, task):
+    """The last sweep of a training loss, through the node rows and the GNN,
+    holds no node of one row per node and head_hidden columns but the heads'
+    own Mlp.rows nodes: the gradients the leaves gathered reach the rows
+    through one relay node, with no product of each row and its gradient."""
+    rows, head_rows, last = pipelines.PairHead.rows, [], []
+
+    def watched_rows(head, H):
+        out = rows(head, H)
+        head_rows.extend(out)
+        return out
+
+    def check(model, output):
+        nodes = ad.topo_order(output)
+        if any(n is model.X for n in nodes):  # the last sweep
+            shape = (model.graph.num_nodes, model.config.head_hidden)
+            last.append(([n.op for n in nodes if n.shape == shape
+                          and not any(n is r for r in head_rows)],
+                         sum(any(n is r for r in head_rows) for n in nodes)))
+
+    monkeypatch.setattr(pipelines.PairHead, "rows", watched_rows)
+    watch_sweeps(monkeypatch, check)
+    train(task, random_graph(np.random.default_rng(4), 12, 0.35),
+          tiny_config(heads=2, embed=3, feature_dim=4, attention_hidden=4, head_hidden=7,
+                      epochs=2))
+    rows_per_loss = 2 if task == "sign" else 4  # two per head
+    assert last == [([], rows_per_loss)] * 2, last
 
 
 @pytest.mark.parametrize("projection", [True, False])
