@@ -6,6 +6,13 @@ checks its pre-activation instead, since the activations map finite values
 to finite values. After backward() only leaf tensors keep .grad, which is
 never written in place.
 
+A sweep frees the graph as it passes it. It moves each node's gradient into
+the node's backward, which holds the only reference to it, and a node whose
+backward has run lets go of its parents and its closure, so an activation
+lives only until the last gradient that needs it exists. A swept graph cannot
+be swept again: reaching a swept node, from the same root or another, raises
+RuntimeError.
+
 Every op builds its output through one constructor, _node(values, op, *grads),
 each grad a (parent, g -> gradient) pair; _node holds the only backward
 closure. add, sub and mul broadcast in exactly three cases: identical shapes,
@@ -147,7 +154,7 @@ def _node(values, op, *grads, act=None):
 
     def backward(g):
         if act is not None:
-            g = grad(g, values, saved)
+            g = grad(g, values, saved)  # frees the incoming g: _sweep keeps no reference
         _accumulate(grads, g)
 
     # an activation maps finite values to finite values, so the check above stands
@@ -550,27 +557,43 @@ def topo_order(output):
     return order
 
 
+def _swept(g):
+    raise RuntimeError("backward through a graph that has already been swept")
+
+
 def _sweep(output, g):
-    """Reverse-mode sweep from output, seeded with its gradient g."""
+    """Reverse-mode sweep from output, seeded with its gradient g, freeing
+    the graph as it goes: each node's gradient moves into its backward, which
+    holds the only reference to it; a node whose backward has run lets go of
+    its parents and its closure, and its backward then raises RuntimeError."""
     output.accumulate_grad(g)
-    # reverse topological order reaches a node once its gradient is complete
-    for node in reversed(topo_order(output)):
+    del g
+    order = topo_order(output)
+    # reverse topological order reaches a node once its gradient is complete;
+    # popping drops the list's reference to each node as it is visited
+    while order:
+        node = order.pop()
         if node.grad is not None:
             _check_finite(node.grad, f"gradient of {node.op or 'tensor'}")
             if node._backward is not None:
-                node._backward(node.grad)
-                node.grad = None
+                held, node.grad = [node.grad], None
+                node._backward(held.pop())
+                node._backward, node.parents = _swept, ()
 
 
 def backward(output):
-    """Reverse-mode sweep from a scalar output; only leaf tensors keep .grad."""
+    """Reverse-mode sweep from a scalar output, freeing its graph as it goes;
+    only leaf tensors keep .grad."""
     if output.values.size != 1:
         raise ShapeError("backward requires a scalar output")
     _sweep(output, np.ones_like(output.values))
 
 
 class Tape:
-    """Parameter registry plus a guard against double backward without reset."""
+    """Parameter registry plus a guard against a second backward without
+    reset(), which would add a second loss's gradients into the parameters'.
+    A loss's own graph is spent by its sweep and raises RuntimeError if swept
+    again; the guard also refuses a fresh loss until reset()."""
 
     def __init__(self, seed=0):
         self.params = {}

@@ -8,13 +8,25 @@ Three suites:
 
 Each suite returns a list of (module, property, observed) failure triples;
 empty means pass.
+
+Apart from the suites, ``python -m wsgat.verify parity`` trains the parity
+grid and prints one digest per case and one overall digest: two trees give
+the same digests on one machine exactly when they train to the same bits.
+The digests depend on the numpy and BLAS build, so they are compared between
+trees, never against stored values.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, checkpoint, pipelines
 from .autodiff import Tensor, Tape
 from .graph import SignedWeightedGraph
 from .layer import Mlp, WsGatLayer, WsGatStack, _activation
@@ -192,14 +204,15 @@ def _gradcheck_ops():
     check("bce_with_logits", lambda: bce_with_logits(z, Tensor(y)), [z])
     bias = Tensor(rng.standard_normal(2), requires_grad=True)
     check("linear", lambda: ad.sum_(ad.tanh(ad.linear(a, b, bias))), [a, b, bias])
-    check("linear+tanh", lambda: ad.sum_(ad.tanh(ad.linear(a, b, bias, "tanh"))), [a, b, bias])
+    check("linear+tanh", lambda: ad.sum_(ad.tanh(ad.linear(a, b, bias, act="tanh"))),
+          [a, b, bias])
     f = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     extra = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     w_extra = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     check("gather_sum", lambda: ad.sum_(ad.tanh(
         ad.gather_sum(a, idx, f, [1, 1, 0, 1], extra, w_extra))), [a, f, extra, w_extra])
     check("gather_sum+leaky_relu", lambda: ad.sum_(ad.tanh(ad.gather_sum(
-        a, idx, f, [1, 1, 0, 1], extra, w_extra, "leaky_relu"))), [a, f, extra, w_extra])
+        a, idx, f, [1, 1, 0, 1], extra, w_extra, act="leaky_relu"))), [a, f, extra, w_extra])
     alpha = Tensor(rng.standard_normal(4), requires_grad=True)
     check("propagate", lambda: ad.sum_(ad.tanh(ad.propagate(a, alpha, idx, [1, 0, 1, 1], 2))),
           [a, alpha])
@@ -409,3 +422,62 @@ def _suite_metrics():
 
 SUITES = {"gradcheck": lambda: _gradcheck_ops() + _gradcheck_models(),
           "oracle": _suite_oracle, "metrics": _suite_metrics}
+
+
+def case_digest(task, g, config):
+    """sha256 of one training run: its report without wall_s, its train loss
+    history in float hex, the sha256 of its parameters and the checkpoint
+    bytes `wsgat train` would write for them."""
+    model, report = pipelines.train(task, g, config)
+    fields = json.loads(report.to_json_line())
+    del fields["wall_s"]
+    arrays = model.parameter_arrays()
+    params = hashlib.sha256()
+    for name in sorted(arrays):
+        params.update(name.encode() + arrays[name].tobytes())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        checkpoint.save_arrays(path, arrays)
+        with open(path, "rb") as f:
+            ckpt = f.read()
+    digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode())
+    digest.update(" ".join(float(x).hex() for x in report.history).encode())
+    digest.update(params.hexdigest().encode() + ckpt)
+    return digest.hexdigest()
+
+
+def parity_cases():
+    """The 24 (name, task, graph, config) cases of the parity grid: a 60-node
+    and a 400-node / ~3,000-edge random graph x the three tasks x val_fraction
+    0.1 and 0 x (epochs, patience) (25, 25) and (60, 3), with two heads."""
+    graphs = {"g60": random_graph(np.random.default_rng(60), 60),
+              "g400": random_graph(np.random.default_rng(400), 400, 3000 / (400 * 399))}
+    return [(f"{name}-{task}-val{val}-e{epochs}p{patience}", task, g,
+             TrainConfig(heads=2, val_fraction=val, epochs=epochs, patience=patience))
+            for name, g in graphs.items() for task in pipelines.TASKS for val in (0.1, 0.0)
+            for epochs, patience in ((25, 25), (60, 3))]
+
+
+def parity(cases):
+    """Print the digest of every case at the default pipelines._PAIR_CHUNK_ROWS
+    and at 37, then the digest of them all, which is returned. The default
+    scores each of these graphs' losses in one chunk; 37 splits it into many,
+    so a change in how chunks add up shows there."""
+    default, overall = pipelines._PAIR_CHUNK_ROWS, hashlib.sha256()
+    try:
+        for rows in (default, 37):
+            pipelines._PAIR_CHUNK_ROWS = rows
+            for name, task, g, config in cases:
+                digest = case_digest(task, g, config)
+                overall.update(digest.encode())
+                print(f"chunk_rows={rows} {name} {digest[:16]}")
+    finally:
+        pipelines._PAIR_CHUNK_ROWS = default
+    print(f"overall {overall.hexdigest()[:16]}")
+    return overall.hexdigest()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["parity"]:
+        sys.exit("usage: python -m wsgat.verify parity")
+    parity(parity_cases())

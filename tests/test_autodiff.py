@@ -1,3 +1,4 @@
+import sys
 import weakref
 from unittest import mock
 
@@ -219,6 +220,46 @@ def test_backward_keeps_grad_on_leaves_only():
     ad.backward(loss)
     assert hidden.grad is None and loss.grad is None
     assert np.allclose(x.grad, 2.0 * np.tanh(x.values) * (1.0 - np.tanh(x.values) ** 2))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 CPython keeps a call's arguments on the caller's "
+                           "stack until the call returns")
+def test_a_sweep_moves_each_gradient_into_its_backward():
+    """The sweep keeps no reference to the gradient it hands a node's
+    backward, so the backward can free it before it returns."""
+    x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    freed = []
+
+    def backward(g):
+        ref = weakref.ref(g)
+        x.accumulate_grad(2.0 * g)
+        del g
+        freed.append(ref() is None)
+
+    y = Tensor(2.0 * x.values, parents=(x,), backward=backward, op="double")
+    ad.backward(ad.sum_(y))
+    assert freed == [True] and np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def test_a_swept_graph_cannot_be_swept_again():
+    """A sweep lets go of each node's parents once the node has passed its
+    gradient on, and the node's backward then raises RuntimeError: sweeping
+    the same root again, or another root that reaches a swept node, fails
+    before any leaf gradient changes."""
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    hidden = ad.tanh(x)
+    loss = ad.sum_(hidden)
+    ad.backward(loss)
+    first = x.grad.copy()
+    assert hidden.parents == () and loss.parents == ()
+    with pytest.raises(RuntimeError, match="already been swept"):
+        ad.backward(loss)
+    with pytest.raises(RuntimeError, match="already been swept"):
+        ad.backward(ad.sum_(ad.mul(hidden, 3.0)))
+    assert np.array_equal(x.grad, first)
+    ad.backward(ad.sum_(ad.tanh(x)))  # a new graph over the same leaf sweeps
+    assert np.array_equal(x.grad, 2.0 * first)
 
 
 @pytest.mark.parametrize("bad", [-1, 3])

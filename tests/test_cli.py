@@ -268,14 +268,28 @@ def test_verify_oracle_suite():
     assert main(["verify", "oracle"]) == 0
 
 
+def test_parity_digests_repeat_within_one_process(capsys):
+    from wsgat import pipelines, verify
+    cases = [("tiny", "sign", random_graph(np.random.default_rng(4), 12, 0.35),
+              TrainConfig(layers=1, hidden=4, embed=4, heads=2, attention_hidden=4,
+                          head_hidden=5, feature_dim=3, epochs=3))]
+    overall = verify.parity(cases)
+    assert verify.parity(cases) == overall
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == lines[3:] and lines[2] == f"overall {overall[:16]}"
+    assert [line.split()[:2] for line in lines[:2]] == [["chunk_rows=16384", "tiny"],
+                                                       ["chunk_rows=37", "tiny"]]
+    assert pipelines._PAIR_CHUNK_ROWS == 16384
+
+
 @pytest.mark.parametrize("op", ["matmul", "linear", "gather_sum", "propagate", "recompute"])
 def test_verify_gradcheck_fault_injection(monkeypatch, op):
     import wsgat.autodiff as ad
     from wsgat import verify
     correct = getattr(ad, op)
 
-    def wrong_backward(*args):
-        out = correct(*args)
+    def wrong_backward(*args, **kwargs):
+        out = correct(*args, **kwargs)
         backward = out._backward
         out._backward = lambda g: backward(2.0 * g)
         return out

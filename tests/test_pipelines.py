@@ -320,6 +320,44 @@ def test_a_swept_chunk_keeps_one_hidden_array_per_head_layer(monkeypatch, task):
     assert last == [[]]
 
 
+@pytest.mark.parametrize("task", ["sign", "signed-weight"])
+def test_a_chunk_frees_its_activations_as_its_sweep_passes_them(monkeypatch, task):
+    """When a head chunk's first-layer gather_sum runs its backward, the
+    array of the second layer's output is already unreachable: the sweep lets
+    go of each node it has passed. With every node of each swept graph held
+    in a list, it is still alive there, so the check can fail."""
+    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 4)
+    score = pipelines.PairHead.__call__
+
+    def freed(patch, keep):
+        dead, kept = [], []
+
+        def watched_score(head, *args):
+            out = score(head, *args)
+            second = out.parents[0]
+            first = second.parents[0]
+            assert (first.op, second.op) == ("gather_sum", "linear")
+            ref, backward = weakref.ref(second.values), first._backward
+
+            def watched_backward(g):
+                dead.append(ref() is None)
+                backward(g)
+
+            first._backward = watched_backward
+            return out
+
+        patch.setattr(pipelines.PairHead, "__call__", watched_score)
+        watch_sweeps(patch, lambda model, output:
+                     kept.extend(ad.topo_order(output) if keep else ()))
+        train(task, random_graph(np.random.default_rng(4), 12, 0.35), tiny_config(epochs=1))
+        return dead
+
+    with monkeypatch.context() as keep:
+        assert set(freed(keep, True)) == {False}
+    dead = freed(monkeypatch, False)
+    assert len(dead) > 3 and set(dead) == {True}
+
+
 @pytest.mark.parametrize("task", ["sign", "weight", "signed-weight"])
 def test_last_sweep_keeps_no_node_rows_by_head_hidden_but_the_heads_rows(monkeypatch, task):
     """The last sweep of a training loss, through the node rows and the GNN,
