@@ -260,9 +260,15 @@ def sample_negative_edges(g, count, seed):
     """Sample ``count`` distinct ordered non-adjacent, non-self pairs uniformly.
 
     ``seed`` may be an int or a Generator (the latter for callers that chain
-    several draws off one stream). Each round accepts, in draw order, the
-    drawn pairs that are not self pairs, edges or already accepted.
+    several draws off one stream). Rounds of ``need + need // 8 + 64`` rows of
+    ``rng.integers(0, n, (rows, 2))`` read the stream in order, so whenever
+    the 200 rounds finish, the result is the first ``count`` admissible
+    distinct pairs of the generator's stream (neither self pairs nor edges),
+    whatever the round size. Otherwise the rest is a shuffle of the remaining
+    non-edges.
     """
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = g.num_nodes
     capacity = n * n - n - g.num_edges
@@ -276,22 +282,13 @@ def sample_negative_edges(g, count, seed):
         need = count - len(keys)
         if need == 0:
             break
-        batch = rng.integers(0, n, size=(max(4 * need, 64), 2))
-        taken = np.sort(keys)
-        # a prefix of the batch that holds `need` distinct admissible draws
-        # holds the batch's first `need`: filter a prefix, widening it until it
-        # does. Admissibility is tested on np.unique's sorted distinct keys,
-        # which the binary searches run faster on
-        size = need + need // 8 + 64
-        while True:
-            head = batch[:size]
-            drawn = pair_keys(head[:, 0], head[:, 1], n)
-            distinct, first = np.unique(drawn, return_index=True)
-            first = first[(head[first, 0] != head[first, 1]) & ~_member(distinct, edges)
-                          & ~_member(distinct, taken)]
-            if len(first) >= need or size >= len(batch):
-                break
-            size *= 2
+        batch = rng.integers(0, n, size=(need + need // 8 + 64, 2))
+        drawn = pair_keys(batch[:, 0], batch[:, 1], n)
+        # admissibility is tested on np.unique's sorted distinct keys, which
+        # the binary searches run faster on
+        distinct, first = np.unique(drawn, return_index=True)
+        first = first[(batch[first, 0] != batch[first, 1]) & ~_member(distinct, edges)
+                      & ~_member(distinct, np.sort(keys))]
         keys = np.concatenate([keys, drawn[np.sort(first)[:need]]])
     if len(keys) < count:
         # dense graph: fall back to enumerating the remaining non-edges

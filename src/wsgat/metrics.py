@@ -20,6 +20,8 @@ def roc_auc(scores, labels):
         raise ValueError("scores must not be NaN")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
+    if n_pos + n_neg != len(labels):
+        raise ValueError("labels must be 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("ROC AUC needs both classes present")
 
@@ -40,6 +42,8 @@ def f1_score(pred, labels):
     labels = np.asarray(labels)
     if pred.shape != labels.shape or len(pred) == 0:
         raise ValueError("pred and labels must be equal-length nonempty sequences")
+    if not (np.isin(pred, (0, 1)).all() and np.isin(labels, (0, 1)).all()):
+        raise ValueError("pred and labels must be 0 or 1")
     tp = int(np.sum((pred == 1) & (labels == 1)))
     fp = int(np.sum((pred == 1) & (labels == 0)))
     fn = int(np.sum((pred == 0) & (labels == 1)))

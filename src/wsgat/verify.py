@@ -31,7 +31,7 @@ from .autodiff import Tensor, Tape
 from .graph import SignedWeightedGraph
 from .layer import Mlp, WsGatLayer, WsGatStack, _activation
 from .metrics import roc_auc, f1_score, mean_absolute_error
-from .pipelines import TaskModel, TrainConfig, cross_entropy, bce_with_logits
+from .pipelines import TaskModel, TrainConfig, cross_entropy, bce_with_logits, mse
 from .spectral import signed_spectral_embedding, _signed_adjacency
 
 FD_H = 1e-5
@@ -255,9 +255,8 @@ def _gradcheck_models():
             emb = model.embeddings()
             ex = bce_with_logits(ad.squeeze_col(Mlp.__call__(model.exist_head, emb, g.src, g.dst)),
                                  Tensor(np.ones(g.num_edges)))
-            diff = ad.sub(ad.squeeze_col(Mlp.__call__(model.weight_head, emb, g.src, g.dst)),
-                          target)
-            return ad.add(ex, ad.mean_(ad.mul(diff, diff)))
+            weight = ad.squeeze_col(Mlp.__call__(model.weight_head, emb, g.src, g.dst))
+            return ad.add(ex, mse(weight, target))
 
         # resample if any attention logit is near the signed-softmax kink
         near_zero = False

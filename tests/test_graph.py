@@ -428,6 +428,73 @@ def test_negative_sampling_no_duplicates_and_deterministic():
     assert all((int(s), int(d)) not in edges for s, d in a)
 
 
+@pytest.mark.parametrize("count", [-1, 2.5, True, np.float64(3.0), "3"])
+def test_negative_sampling_rejects_bad_count(count):
+    # count=-1 returned 60 pairs and count=2.5 failed inside a slice
+    g = SignedWeightedGraph.from_edges(50, range(49), range(1, 50), np.ones(49))
+    with pytest.raises(ValueError, match="count"):
+        sample_negative_edges(g, count, seed=0)
+
+
+def test_negative_sampling_takes_numpy_integer_count():
+    g = SignedWeightedGraph.from_edges(50, range(49), range(1, 50), np.ones(49))
+    assert np.array_equal(sample_negative_edges(g, np.int64(7), seed=0),
+                          sample_negative_edges(g, 7, seed=0))
+
+
+def stream_negatives(g, draws):
+    """The admissible distinct pairs of the (rows, 2) ``draws``, in draw order."""
+    edges = set(zip(g.src.tolist(), g.dst.tolist()))
+    out, seen = [], set()
+    for s, d in draws.tolist():
+        if s != d and (s, d) not in edges and (s, d) not in seen:
+            seen.add((s, d))
+            out.append((s, d))
+    return out
+
+
+class RecordingGenerator(np.random.Generator):
+    """``default_rng(seed)`` that records the row count of each ``integers`` call."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.rows = []
+
+    def integers(self, low, high=None, size=None, **kwargs):
+        self.rows.append(size[0])
+        return super().integers(low, high, size=size, **kwargs)
+
+
+def test_negative_sampling_round_draws_need_plus_an_eighth_plus_64():
+    for n, density, count, seed in ((300, 0.05, 3000, 1), (40, 0.4, 400, 2), (30, 0.1, 100, 3)):
+        g = random_graph(np.random.default_rng(seed), n, density)
+        rng = RecordingGenerator(seed)
+        sample_negative_edges(g, count, rng)
+        # replay the stream: a round's need is count minus the admissible
+        # pairs that the rounds before it drew
+        draws = np.random.default_rng(seed).integers(0, n, (sum(rng.rows), 2))
+        start = 0
+        for rows in rng.rows:
+            need = count - len(stream_negatives(g, draws[:start]))
+            assert 0 < need and rows <= need + need // 8 + 64
+            start += rows
+
+
+def test_negative_sampling_is_first_admissible_pairs_of_the_stream():
+    # however the rounds cut the stream, they read on where the last one
+    # stopped, so the result is a prefix of one long draw's admissible pairs
+    rng = np.random.default_rng(7)
+    for n, density in ((300, 0.01), (120, 0.1), (40, 0.3), (25, 0.5)):
+        g = random_graph(rng, n, density)
+        capacity = n * n - n - g.num_edges
+        for count in (1, 100, capacity // 2):
+            seed = int(rng.integers(2**31))
+            draws = np.random.default_rng(seed).integers(0, n, (8 * count + 1000, 2))
+            expect = stream_negatives(g, draws)[:count]
+            assert len(expect) == count
+            assert sample_negative_edges(g, count, seed).tolist() == [list(p) for p in expect]
+
+
 def loop_sample_negative_edges(g, count, seed):
     """Reference sampler: the pair-at-a-time loop over Python sets."""
     if count == 0:
@@ -442,7 +509,7 @@ def loop_sample_negative_edges(g, count, seed):
         need = count - len(out)
         if need == 0:
             break
-        for s, d in rng.integers(0, n, size=(max(4 * need, 64), 2)).tolist():
+        for s, d in rng.integers(0, n, size=(need + need // 8 + 64, 2)).tolist():
             if len(out) == count:
                 break
             if s != d and (s, d) not in forbidden and (s, d) not in seen:
@@ -467,9 +534,9 @@ def test_negative_sampling_matches_loop_reference_on_2000_nodes():
 
 
 def test_negative_sampling_matches_loop_reference_across_prefix_widths():
-    # a round that needs more than 22 pairs filters a prefix of its batch
-    # first; on 20-60 nodes a prefix often holds just as many admissible
-    # draws as needed, or one short, so an off-by-one in when to widen it shows
+    # on 20-60 nodes a round's draw often holds just as many admissible pairs
+    # as the round needs, or one short, so an off-by-one in how many pairs a
+    # round keeps, or in where the next round reads on, shows
     rng = np.random.default_rng(0)
     for _ in range(300):
         n = int(rng.integers(20, 60))

@@ -30,6 +30,12 @@ def test_auc_nan_score_rejected():
         roc_auc([0.1, np.nan, 0.3], [1, 0, 1])
 
 
+def test_auc_label_outside_0_1_rejected():
+    # a label 2 is neither class; counted as neither it gave AUC 2.0
+    with pytest.raises(ValueError, match="0 or 1"):
+        roc_auc([0.1, 0.9, 0.5], [0, 1, 2])
+
+
 def test_auc_matches_bruteforce_on_1000_instances():
     rng = np.random.default_rng(0)
     for _ in range(1000):
@@ -82,6 +88,13 @@ def test_f1_all_positive_predictor_closed_form():
     expect = 2 * p / (1 + p)
     assert f1_score(pred, labels) == pytest.approx(expect, abs=1e-4)
     assert expect == pytest.approx(0.9472, abs=1e-4)
+
+
+@pytest.mark.parametrize("pred, labels", [([1, 1, 0], [1, 2, 1]), ([1, -1, 0], [1, 0, 1]),
+                                           ([0.5, 1], [1, 1])])
+def test_f1_value_outside_0_1_rejected(pred, labels):
+    with pytest.raises(ValueError, match="0 or 1"):
+        f1_score(pred, labels)
 
 
 def test_f1_matches_bruteforce_on_1000_instances():
