@@ -45,9 +45,12 @@ class SignedWeightedGraph:
 
     @staticmethod
     def from_edges(num_nodes, src, dst, weight, node_labels=()):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        weight = np.asarray(weight, dtype=np.float64)
+        """The graph of the parallel edge arrays, checked. It stores read-only
+        copies of them, so no write to the caller's arrays reaches it, and the
+        caller's arrays stay writable."""
+        src = np.array(src, dtype=np.int64)
+        dst = np.array(dst, dtype=np.int64)
+        weight = np.array(weight, dtype=np.float64)
         if len(src) == 0:
             raise EmptyGraphError("graph has no edges")
         if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= num_nodes:
@@ -216,7 +219,7 @@ def normalize_weights(g, mode="signed_unit"):
     if scale <= 0:
         raise ValueError("max |weight| must be positive")
     w = np.abs(g.weight) / scale if mode == "unit_abs" else g.weight / scale
-    return SignedWeightedGraph.from_edges(g.num_nodes, g.src.copy(), g.dst.copy(), w, g.node_labels)
+    return SignedWeightedGraph.from_edges(g.num_nodes, g.src, g.dst, w, g.node_labels)
 
 
 @dataclass(frozen=True)

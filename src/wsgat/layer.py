@@ -74,10 +74,13 @@ class Mlp:
         The rows of ``w0`` split into ``W_a``, ``W_b`` and ``w_c``, matching
         the three blocks of columns of a pair's input, so the first layer of
         pair k is ``(H W_a + b0)[first[k]] + (H W_b)[second[k]] + extra[k] w_c``.
+        ``w0`` has ``2d`` rows, or ``2d + 1`` with one ``extra`` column, for
+        ``H`` of width ``d``; any other width raises ShapeError.
         """
         w0, d = self.weights[0], H.shape[1]
-        if w0.shape[0] < 2 * d:
-            raise ShapeError(f"Mlp expects {w0.shape[0]} input columns, got at least {2 * d}")
+        if w0.shape[0] not in (2 * d, 2 * d + 1):
+            raise ShapeError(f"Mlp expects {w0.shape[0]} input columns, "
+                             f"node rows of width {d} give {2 * d} or {2 * d + 1}")
         return (ad.linear(H, ad.take_rows(w0, np.arange(d)), self.biases[0]),
                 ad.matmul(H, ad.take_rows(w0, np.arange(d, 2 * d))))
 

@@ -267,42 +267,40 @@ def _pair_loss(model, terms, sweep):
     (head, pairs, targets, loss, weight), as a float; with ``sweep``, every
     parameter's gradient too.
 
-    The embeddings and each head's node rows are computed once. Each chunk of
-    at most _PAIR_CHUNK_ROWS pairs runs the head on leaf copies of the rows,
-    weighted by its share of the pairs, and is swept backward and freed before
-    the next, so the leaves and the head weights gather the chunks'
-    gradients. A last sweep, from an autodiff.relay node that moves each
-    leaf's gradient to its row, carries them through the rows and the GNN and
-    frees each once its row has passed it on.
+    The embeddings are computed once, and each term's node rows (head.rows)
+    just before its chunks. Each chunk of at most _PAIR_CHUNK_ROWS pairs runs
+    the head on leaf copies of the rows, weighted by its share of the pairs,
+    and is swept backward and freed before the next, so the leaves and the head
+    weights gather the chunks' gradients. A last sweep, from an autodiff.relay
+    node that moves each leaf's gradient to its row, carries them through the
+    rows and the GNN and frees each once its row has passed it on.
     """
     emb = model.embeddings()
-    rows = {head: head.rows(emb) for head, *_ in terms}
-    # the rows' nodes have checked these values already
-    leaves = {head: tuple(Tensor(r.values, requires_grad=True, check=False) for r in rows[head])
-              for head in rows}
-    total = 0.0
+    rows, leaves, total = [], [], 0.0
     for head, pairs, targets, loss, weight in terms:
-        for part, out in _head_chunks(head, leaves[head], pairs):
+        head_rows = head.rows(emb)
+        # the rows' nodes have checked these values already
+        head_leaves = [Tensor(r.values, requires_grad=True, check=False) for r in head_rows]
+        rows += head_rows
+        leaves += head_leaves
+        for part, out in _head_chunks(head, head_leaves, pairs):
             chunk = ad.mul(loss(out, targets[part]), weight * (len(out.values) / len(pairs)))
             if sweep:
                 ad.backward(chunk)
             total += float(chunk.values)
             del out, chunk  # the graph behind it must not live through the next chunk
     if sweep:
-        # the heads' rows in order, each head's first before its second: the
-        # order in which one graph over all pairs adds their gradients
-        model.tape.backward(ad.relay(total, [r for head in rows for r in rows[head]],
-                                     [leaf for head in rows for leaf in leaves[head]]))
+        # rows and leaves in term order, each head's first row before its
+        # second: the order in which one graph over all pairs adds their gradients
+        model.tape.backward(ad.relay(total, rows, leaves))
     return total
 
 
-def _train_loop(model, terms, batches, config):
-    """Full-batch Adam with early stopping on the validation loss.
-
-    batches is (train_batch, val_batch); terms(batch) gives the _pair_loss
-    terms of a batch. Returns (epochs_run, train_loss_history).
+def _train_loop(model, train_terms, val_terms, config):
+    """Full-batch Adam on the _pair_loss of ``train_terms``, with early stopping
+    on that of ``val_terms`` (the same list when there is no validation slice).
+    Returns (epochs_run, train_loss_history).
     """
-    train_batch, val_batch = batches
     opt = Adam(model.tape.parameter_list(), lr=config.lr)
     best_val = np.inf
     best_params = model.parameter_arrays()
@@ -310,9 +308,9 @@ def _train_loop(model, terms, batches, config):
     history = []
     for _ in range(config.epochs):
         model.tape.reset()
-        history.append(_pair_loss(model, terms(train_batch), sweep=True))
+        history.append(_pair_loss(model, train_terms, sweep=True))
         opt.step()
-        val = _pair_loss(model, terms(val_batch), sweep=False)
+        val = _pair_loss(model, val_terms, sweep=False)
         if val < best_val - 1e-12:
             best_val = val
             best_params = model.parameter_arrays()
@@ -404,26 +402,26 @@ def train(task, g, config, dataset="unknown"):
         # class 0 positive, 1 negative, 2 non-existent
         labels = np.concatenate([np.where(tg.weight > 0, 0, 1),
                                  np.full(len(split.train_neg), 2)])
-        batches = _val_slice(len(pairs), config.val_fraction, rng)
-
-        def terms(idx):
-            return [(model.sign_head, pairs[idx], labels[idx], cross_entropy, 1.0)]
+        terms = [(model.sign_head, pairs, labels, cross_entropy, 1.0)]
+        slices = [[idx] for idx in _val_slice(len(pairs), config.val_fraction, rng)]
     else:
         exist_labels = np.concatenate([np.ones(len(pos_pairs)), np.zeros(len(split.train_neg))])
+        terms = [(model.exist_head, pairs, exist_labels,
+                  lambda out, y: bce_with_logits(ad.squeeze_col(out), Tensor(y)), 1.0),
+                 (model.weight_head, pos_pairs, tg.weight,
+                  lambda out, y: mse(ad.squeeze_col(out), Tensor(y)), config.lambda_weight)]
         # the positive slice is drawn first; |train_neg| = |train edges|, so
         # both slices fall back to the train slice together
-        slices = zip(_val_slice(len(pos_pairs), config.val_fraction, rng),
-                     _val_slice(len(split.train_neg), config.val_fraction, rng))
-        batches = [(np.concatenate([p, q + len(pos_pairs)]), p) for p, q in slices]
-
-        def terms(batch):
-            idx, p = batch
-            return [(model.exist_head, pairs[idx], exist_labels[idx],
-                     lambda out, y: bce_with_logits(ad.squeeze_col(out), Tensor(y)), 1.0),
-                    (model.weight_head, pos_pairs[p], tg.weight[p],
-                     lambda out, y: mse(ad.squeeze_col(out), Tensor(y)), config.lambda_weight)]
-
-    epochs_run, history = _train_loop(model, terms, batches, config)
+        slices = [[np.concatenate([p, q + len(pos_pairs)]), p]
+                  for p, q in zip(_val_slice(len(pos_pairs), config.val_fraction, rng),
+                                  _val_slice(len(split.train_neg), config.val_fraction, rng))]
+    # the train and validation term lists, each term's pairs and targets taken
+    # at its slice's indices; with val_fraction 0 the validation slice is the
+    # train slice, and the validation list the train list itself
+    term_lists = [[(head, p[i], y[i], loss, weight)
+                   for (head, p, y, loss, weight), i in zip(terms, idx)]
+                  for idx in slices[:1 if config.val_fraction == 0 else 2]]
+    epochs_run, history = _train_loop(model, term_lists[0], term_lists[-1], config)
     report = evaluate(model, split, task, dataset=dataset,
                       epochs_run=epochs_run, wall_s=time.time() - t0)
     report.history = history

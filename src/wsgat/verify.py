@@ -478,5 +478,6 @@ def parity(cases):
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["parity"]:
-        sys.exit("usage: python -m wsgat.verify parity")
+        print("usage: python -m wsgat.verify parity", file=sys.stderr)
+        sys.exit(2)
     parity(parity_cases())

@@ -282,6 +282,16 @@ def test_parity_digests_repeat_within_one_process(capsys):
     assert pipelines._PAIR_CHUNK_ROWS == 16384
 
 
+@pytest.mark.parametrize("argv", [[], ["metrics"], ["parity", "parity"]])
+def test_verify_module_usage_error_exits_2(argv):
+    # exit 1 is reserved for a closed standard output
+    env = dict(os.environ, PYTHONPATH=str(Path(wsgat.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "wsgat.verify", *argv], capture_output=True,
+                          timeout=120, env=env)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"usage: python -m wsgat.verify parity\n"
+
+
 @pytest.mark.parametrize("op", ["matmul", "linear", "gather_sum", "propagate", "recompute"])
 def test_verify_gradcheck_fault_injection(monkeypatch, op):
     import wsgat.autodiff as ad

@@ -311,6 +311,26 @@ def test_from_edges_rejects_duplicate_pairs():
         SignedWeightedGraph.from_edges(3, [2, 0, 1, 1, 2], [0, 1, 2, 0, 0], np.ones(5))
 
 
+def test_from_edges_keeps_no_view_of_the_callers_arrays():
+    edges = np.array([[0, 1], [1, 2], [2, 0]])
+    w = np.array([1.0, -1.0, 2.0])
+    g = SignedWeightedGraph.from_edges(3, edges[:, 0], edges[:, 1], w)
+    edges[0, 0] = 1  # would make edge 0 the self-loop 1 -> 1
+    w[:] = 0.0
+    assert (g.src.tolist(), g.dst.tolist(), g.weight.tolist()) == ([0, 1, 2], [1, 2, 0],
+                                                                    [1.0, -1.0, 2.0])
+
+
+def test_from_edges_leaves_the_callers_arrays_writable():
+    src, dst = np.array([0, 1], dtype=np.int64), np.array([1, 2], dtype=np.int64)
+    w = np.array([1.0, -1.0])
+    g = SignedWeightedGraph.from_edges(3, src, dst, w)
+    assert all(a.flags.writeable for a in (src, dst, w))
+    assert not any(a.flags.writeable for a in (g.src, g.dst, g.weight))
+    src[0] = 2
+    assert g.src.tolist() == [0, 1]
+
+
 def test_member_matches_isin():
     rng = np.random.default_rng(0)
     for n_keys in (0, 1, 2, 50):
@@ -533,7 +553,7 @@ def test_negative_sampling_matches_loop_reference_on_2000_nodes():
         assert np.array_equal(got, loop_sample_negative_edges(g, count, count))
 
 
-def test_negative_sampling_matches_loop_reference_across_prefix_widths():
+def test_negative_sampling_rounds_keep_their_count_and_read_on():
     # on 20-60 nodes a round's draw often holds just as many admissible pairs
     # as the round needs, or one short, so an off-by-one in how many pairs a
     # round keeps, or in where the next round reads on, shows

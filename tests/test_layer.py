@@ -5,7 +5,7 @@ import wsgat.autodiff as ad
 from wsgat.autodiff import Tensor, Tape
 from wsgat.errors import ShapeError
 from wsgat.graph import SignedWeightedGraph
-from wsgat.layer import WsGatLayer, WsGatStack, pair_features
+from wsgat.layer import Mlp, WsGatLayer, WsGatStack, pair_features
 from wsgat.pipelines import TaskModel, TrainConfig
 from wsgat.verify import dense_layer_reference, dense_mlp_reference, random_graph
 
@@ -97,6 +97,18 @@ def test_mlp_rejects_an_input_of_the_wrong_width():
     H = Tensor(np.ones((4, 3)))
     with pytest.raises(ShapeError, match="Mlp expects 7 input columns, got 6"):
         layer.att[0](H, [0, 1], [1, 2])
+
+
+def test_mlp_rows_reject_node_rows_that_do_not_fit_the_first_layer():
+    # the attention scorer's w0 has 2d + 1 rows, a head's 2d; a narrower H
+    # would split w0 into the wrong blocks
+    scorer = make_layer(in_width=4).att[0]
+    head = Mlp(Tape(seed=0), "head", [8, 5, 1], "tanh")
+    for mlp, width in ((scorer, 3), (head, 3), (head, 5)):
+        with pytest.raises(ShapeError, match=f"node rows of width {width} give"):
+            mlp.rows(Tensor(np.ones((5, width))))
+    assert [r.shape for r in head.rows(Tensor(np.ones((5, 4))))] == [(5, 5)] * 2
+    assert [r.shape for r in scorer.rows(Tensor(np.ones((5, 4))))] == [(5, 32)] * 2
 
 
 def test_feature_width_mismatch_errors():

@@ -416,33 +416,33 @@ def loss_and_gradients(monkeypatch, task, chunk_rows):
     class Captured(Exception):
         pass
 
-    def capture(model, terms, batches, config):
-        captured.append((model, terms, batches))
+    def capture(model, train_terms, val_terms, config):
+        captured.append((model, train_terms, val_terms))
         raise Captured
 
     monkeypatch.setattr(pipelines, "_train_loop", capture)
     with pytest.raises(Captured):
         train(task, random_graph(np.random.default_rng(4), 12, 0.35),
               tiny_config(layers=2, heads=2, head_hidden=9))
-    model, terms, (train_batch, val_batch) = captured[0]
+    model, train_terms, val_terms = captured[0]
     monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", chunk_rows)
     model.tape.reset()
-    loss = pipelines._pair_loss(model, terms(train_batch), sweep=True)
+    loss = pipelines._pair_loss(model, train_terms, sweep=True)
     chunked = (loss, [p.grad for p in model.tape.parameter_list()],
-               pipelines._pair_loss(model, terms(val_batch), sweep=False))
+               pipelines._pair_loss(model, val_terms, sweep=False))
 
-    def one_graph(batch):
+    def one_graph(terms):
         emb = model.embeddings()
         return functools.reduce(ad.add, [
             ad.mul(loss(layer.Mlp.__call__(head, emb, pairs[:, 0], pairs[:, 1]), targets), weight)
-            for head, pairs, targets, loss, weight in terms(batch)])
+            for head, pairs, targets, loss, weight in terms])
 
     model.tape.reset()
-    loss = one_graph(train_batch)
+    loss = one_graph(train_terms)
     model.tape.backward(loss)
     whole = (float(loss.values), [p.grad for p in model.tape.parameter_list()],
-             float(one_graph(val_batch).values))
-    return chunked, whole, len(terms(train_batch)[0][1])
+             float(one_graph(val_terms).values))
+    return chunked, whole, len(train_terms[0][1])
 
 
 @pytest.mark.parametrize("task", ["sign", "weight", "signed-weight"])
@@ -591,6 +591,58 @@ def test_training_batches_balanced():
     split = split_edges(normalize_weights(g, "unit_abs"), 0.8, seed=0)
     assert len(split.train_neg) == split.train_graph.num_edges
     assert len(split.test_neg) == len(split.test_pos)
+
+
+def captured_term_lists(monkeypatch, task, val_fraction):
+    """The split, and the model and the train and validation term lists that
+    train hands to _train_loop, for ``task`` on a toy graph."""
+    splits, captured = [], []
+
+    def watched_split(*args):
+        splits.append(split_edges(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(pipelines, "split_edges", watched_split)
+    monkeypatch.setattr(pipelines, "_train_loop",
+                        lambda *args: captured.append(args[:3]) or (0, []))
+    train(task, random_graph(np.random.default_rng(4), 12, 0.35),
+          tiny_config(val_fraction=val_fraction))
+    return splits[0], captured[0]
+
+
+def sorted_rows(*arrays):
+    rows = np.vstack(arrays)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("task", ["sign", "weight", "signed-weight"])
+@pytest.mark.parametrize("val_fraction", [0.1, 0.0])
+def test_term_lists_hold_the_train_pairs_and_their_targets(monkeypatch, task, val_fraction):
+    split, (model, train_terms, val_terms) = captured_term_lists(monkeypatch, task,
+                                                                 val_fraction)
+    tg = split.train_graph
+    weight_of = {(s, d): w for s, d, w in zip(tg.src.tolist(), tg.dst.tolist(),
+                                              tg.weight.tolist())}
+    positives = np.column_stack([tg.src, tg.dst])
+    heads = ["sign_head"] if task == "sign" else ["exist_head", "weight_head"]
+    assert (val_terms is train_terms) == (val_fraction == 0)
+    for terms in (train_terms, val_terms):
+        assert [head for head, *_ in terms] == [getattr(model, name) for name in heads]
+        for (head, pairs, targets, loss, weight), name in zip(terms, heads):
+            assert len(targets) == len(pairs) and pairs.dtype == np.int64
+            edge_w = [weight_of.get((s, d)) for s, d in pairs.tolist()]
+            if name == "sign_head":
+                assert targets.tolist() == [2 if w is None else int(w < 0) for w in edge_w]
+            elif name == "exist_head":
+                assert targets.tolist() == [float(w is not None) for w in edge_w]
+            else:
+                assert None not in edge_w and targets.tolist() == edge_w
+    # each term's train and validation pairs are its train pairs, once each
+    for i, name in enumerate(heads):
+        everything = (positives,) if name == "weight_head" else (positives, split.train_neg)
+        val = [] if val_terms is train_terms else [val_terms[i][1]]
+        assert all(len(v) > 0 for v in val)
+        assert np.array_equal(sorted_rows(train_terms[i][1], *val), sorted_rows(*everything))
 
 
 def test_report_serialization_roundtrip():
