@@ -14,9 +14,9 @@ autodiff.recompute nodes: backward runs them again, from the node rows and
 from (H, logits) respectively, over the edge arrays the forward computed.
 
 Mlp, which scores the edges here and the node pairs in the prediction heads,
-takes a node matrix and two index arrays and never builds the pair matrix:
-its first layer runs over the node rows (Mlp.rows) and the pair stage
-(Mlp.over_pairs) gathers those products per pair. A caller that scores many
+runs in two stages and never builds the pair matrix: Mlp.rows(H) runs its
+first layer over the node rows, Mlp.over_pairs(rows, first, second, extra)
+gathers them per pair and runs the later layers. A caller that scores many
 pairs computes the rows once and runs the pair stage a chunk of pairs at a
 time. pair_features builds the pair matrix, as the dense reference.
 """
@@ -46,7 +46,8 @@ def _activation(name):
 
 class Mlp:
     """Dense layers ``{prefix}.w{i}``/``{prefix}.b{i}`` between consecutive ``sizes``,
-    over pairs of node rows.
+    over pairs of node rows: ``over_pairs(rows(H), first, second, extra)`` is
+    the MLP over row k of ``pair_features(H, first, second, extra)``.
 
     ``hidden_act`` follows every layer but the last, ``out_act`` (None: linear)
     the last: each an activation name, ``"tanh"`` or ``"leaky_relu"``, applied
@@ -59,14 +60,6 @@ class Mlp:
             self.weights.append(tape.glorot(f"{prefix}.w{i}", (a, b)))
             self.biases.append(tape.zeros(f"{prefix}.b{i}", (b,)))
         self.acts = [hidden_act] * (len(sizes) - 2) + [out_act]
-
-    def __call__(self, H, first, second, extra=None):
-        """The MLP over row k of ``pair_features(H, first, second, extra)``:
-        ``over_pairs(rows(H), first, second, extra)``."""
-        width = 2 * H.shape[1] + (0 if extra is None else extra.shape[1])
-        if self.weights[0].shape[0] != width:
-            raise ShapeError(f"Mlp expects {self.weights[0].shape[0]} input columns, got {width}")
-        return self.over_pairs(self.rows(H), first, second, extra)
 
     def rows(self, H):
         """The first layer's products over the node rows, ``(H W_a + b0, H W_b)``.

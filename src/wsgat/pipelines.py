@@ -142,9 +142,9 @@ class EvalReport:
 
 class PairHead(Mlp):
     """MLP over pairs of node embeddings: tanh between its layers, ``out_act``
-    (an activation name, or None: linear) after the last. Called as
-    ``head(rows, s, d)``, the pair stage, on ``rows = head.rows(emb)`` and one
-    chunk of pairs' two node columns."""
+    (an activation name, or None: linear) after the last. It runs in an
+    ``Mlp``'s two stages: ``rows = head.rows(emb)`` once, then ``head(rows, s,
+    d)``, the pair stage, per chunk of pairs' two node columns ``s`` and ``d``."""
 
     def __init__(self, tape, prefix, sizes, out_act=None):
         super().__init__(tape, prefix, sizes, "tanh", out_act)
@@ -202,9 +202,9 @@ class TaskModel:
     def load_parameter_arrays(self, arrays):
         """Set every parameter from ``arrays`` (name -> array).
 
-        Raises ValueError for a missing or unexpected name or a shape that
-        differs from the model's; every name is checked first, so a failed load
-        changes nothing.
+        Raises ValueError for a missing or unexpected name, a shape that
+        differs from the model's or a NaN or inf value; every array is checked
+        first, so a failed load changes nothing.
         """
         for k in arrays:
             if k not in self.tape.params:
@@ -217,17 +217,22 @@ class TaskModel:
             if loaded[k].shape != v.shape:
                 raise ValueError(f"parameter {k!r} has shape {loaded[k].shape}, "
                                  f"the model expects {v.shape}")
+            if not np.isfinite(loaded[k]).all():
+                raise ValueError(f"parameter {k!r} holds NaN or inf")
         for k, v in self.tape.params.items():
             v.values = loaded[k]
 
 
 def bce_with_logits(logits, labels):
-    """mean(softplus(z) - z*y), the stable binary cross-entropy."""
-    return ad.mean_(ad.sub(ad.softplus(logits), ad.mul(logits, labels)))
+    """mean(softplus(z) - z*y), the stable binary cross-entropy, of a head's
+    logit column (or a 1-d tensor) z and the array of 0/1 labels y."""
+    z = ad.squeeze_col(logits)
+    return ad.mean_(ad.sub(ad.softplus(z), ad.mul(z, labels)))
 
 
 def mse(pred, target):
-    diff = ad.sub(pred, target)
+    """mean((p - t)^2) of a head's output column (or a 1-d tensor) p and the array t."""
+    diff = ad.sub(ad.squeeze_col(pred), target)
     return ad.mean_(ad.mul(diff, diff))
 
 
@@ -406,10 +411,8 @@ def train(task, g, config, dataset="unknown"):
         slices = [[idx] for idx in _val_slice(len(pairs), config.val_fraction, rng)]
     else:
         exist_labels = np.concatenate([np.ones(len(pos_pairs)), np.zeros(len(split.train_neg))])
-        terms = [(model.exist_head, pairs, exist_labels,
-                  lambda out, y: bce_with_logits(ad.squeeze_col(out), Tensor(y)), 1.0),
-                 (model.weight_head, pos_pairs, tg.weight,
-                  lambda out, y: mse(ad.squeeze_col(out), Tensor(y)), config.lambda_weight)]
+        terms = [(model.exist_head, pairs, exist_labels, bce_with_logits, 1.0),
+                 (model.weight_head, pos_pairs, tg.weight, mse, config.lambda_weight)]
         # the positive slice is drawn first; |train_neg| = |train edges|, so
         # both slices fall back to the train slice together
         slices = [[np.concatenate([p, q + len(pos_pairs)]), p]

@@ -7,6 +7,9 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, ConvergenceError
 
+_LANCZOS_RESTARTS = 500
+_LANCZOS_TOL = 1e-8
+
 
 def _signed_adjacency(g):
     """Sparse symmetrized sign matrix S = (A + A^T)/2 with sign(w) entries."""
@@ -16,16 +19,16 @@ def _signed_adjacency(g):
     return (A + A.T) * 0.5
 
 
-def signed_spectral_embedding(g, d=32, iters=500, seed=0, tol=1e-8):
+def signed_spectral_embedding(g, d=32, seed=0):
     """Top-d eigenvectors (by |eigenvalue|) of the symmetrized signed adjacency.
 
     ARPACK's implicitly restarted Lanczos (scipy eigsh, from a seeded start
     vector) finds the d + 4 largest-magnitude eigenpairs to relative tolerance
-    tol within iters restarts; dense eigh runs when d + 4 >= n. Signed spectra
-    come in near +-lambda pairs, so the order is |lambda| descending with the
-    positive member of a pair first; the four extra pairs let a pair that
-    straddles column d be ordered too. Each column's largest-magnitude entry
-    is made positive. Raises ConvergenceError if Lanczos does not converge.
+    _LANCZOS_TOL within _LANCZOS_RESTARTS restarts; dense eigh runs when
+    d + 4 >= n. Signed spectra come in near +-lambda pairs, so the order is
+    |lambda| descending with the positive member of a pair first; the four
+    extra pairs let a pair that straddles column d be ordered too. Each
+    column's largest-magnitude entry is made positive. Raises ConvergenceError if Lanczos does not converge.
     """
     n = g.num_nodes
     if d > n:
@@ -41,10 +44,11 @@ def signed_spectral_embedding(g, d=32, iters=500, seed=0, tol=1e-8):
 
         v0 = np.random.default_rng(seed).standard_normal(n)
         try:
-            lam, X = eigsh(S, k=k, which="LM", v0=v0, maxiter=iters, tol=tol)
+            lam, X = eigsh(S, k=k, which="LM", v0=v0, maxiter=_LANCZOS_RESTARTS,
+                           tol=_LANCZOS_TOL)
         except ArpackNoConvergence as e:
             raise ConvergenceError(
-                f"Lanczos did not converge in {iters} restarts: "
+                f"Lanczos did not converge in {_LANCZOS_RESTARTS} restarts: "
                 f"{len(e.eigenvalues)} of {k} eigenpairs converged") from None
     # |lambda| descending; magnitudes rounded so +-lambda pairs tie exactly,
     # then the positive member sorts first

@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad, checkpoint, pipelines
 from .autodiff import Tensor, Tape
 from .graph import SignedWeightedGraph
-from .layer import Mlp, WsGatLayer, WsGatStack, _activation
+from .layer import WsGatLayer, WsGatStack, _activation
 from .metrics import roc_auc, f1_score, mean_absolute_error
 from .pipelines import TaskModel, TrainConfig, cross_entropy, bce_with_logits, mse
 from .spectral import signed_spectral_embedding, _signed_adjacency
@@ -201,7 +201,7 @@ def _gradcheck_ops():
     check("cross_entropy", lambda: cross_entropy(logits3, labels3), [logits3])
     z = Tensor(rng.standard_normal(8), requires_grad=True)
     y = rng.integers(0, 2, 8).astype(float)
-    check("bce_with_logits", lambda: bce_with_logits(z, Tensor(y)), [z])
+    check("bce_with_logits", lambda: bce_with_logits(z, y), [z])
     bias = Tensor(rng.standard_normal(2), requires_grad=True)
     check("linear", lambda: ad.sum_(ad.tanh(ad.linear(a, b, bias))), [a, b, bias])
     check("linear+tanh", lambda: ad.sum_(ad.tanh(ad.linear(a, b, bias, act="tanh"))),
@@ -249,14 +249,12 @@ def _gradcheck_models():
                           head_hidden=8, features="random_normal", feature_dim=4,
                           seed=trial)
         model = TaskModel("signed-weight", g, cfg)
-        target = Tensor(g.weight)
 
         def model_loss():
             emb = model.embeddings()
-            ex = bce_with_logits(ad.squeeze_col(Mlp.__call__(model.exist_head, emb, g.src, g.dst)),
-                                 Tensor(np.ones(g.num_edges)))
-            weight = ad.squeeze_col(Mlp.__call__(model.weight_head, emb, g.src, g.dst))
-            return ad.add(ex, mse(weight, target))
+            exist, weight = model.exist_head, model.weight_head
+            ex = bce_with_logits(exist(exist.rows(emb), g.src, g.dst), np.ones(g.num_edges))
+            return ad.add(ex, mse(weight(weight.rows(emb), g.src, g.dst), g.weight))
 
         # resample if any attention logit is near the signed-softmax kink
         near_zero = False

@@ -1,0 +1,59 @@
+"""Each argument check of the library's public calls, one row per check: the
+call, the exception it must raise and the start of its message."""
+
+import re
+
+import numpy as np
+import pytest
+
+from wsgat import autodiff as ad
+from wsgat.autodiff import Tape, Tensor
+from wsgat.errors import ConfigError, ShapeError
+from wsgat.graph import load_edge_list, normalize_weights
+from wsgat.layer import WsGatLayer
+from wsgat.pipelines import TaskModel, TrainConfig
+from wsgat.spectral import fallback_features
+from wsgat.verify import random_graph
+
+GRAPH = random_graph(np.random.default_rng(0), 6, 0.5)
+
+
+def duplicate_parameter():
+    tape = Tape(seed=0)
+    tape.parameter("w", np.zeros(2))
+    tape.parameter("w", np.ones(2))
+
+
+CHECKS = [
+    ("duplicate parameter", duplicate_parameter, ValueError, "duplicate parameter 'w'"),
+    ("head_merge", lambda: WsGatLayer(Tape(seed=0), "gnn0", 3, 4, TrainConfig(), "sum"),
+     ValueError, "unknown head_merge 'sum'"),
+    ("weight mode", lambda: normalize_weights(GRAPH, "log"), ValueError, "unknown mode 'log'"),
+    ("edge list format", lambda: load_edge_list("edges.tsv", fmt="tsv4"), ValueError,
+     "unknown format 'tsv4'"),
+    ("feature kind", lambda: fallback_features(GRAPH, kind="ones"), ConfigError,
+     "unknown feature kind 'ones'"),
+    ("feature width", lambda: fallback_features(GRAPH, d=0), ConfigError,
+     "feature_dim must be >= 1, got 0"),
+    ("task", lambda: TaskModel("rank", GRAPH, TrainConfig()), ValueError, "unknown task 'rank'"),
+    ("concat of nothing", lambda: ad.concat([]), ShapeError, "concat of zero tensors"),
+    ("squeeze_col of a matrix", lambda: ad.squeeze_col(Tensor(np.ones((3, 2)))), ShapeError,
+     "squeeze_col: expected a column, got (3, 2)"),
+    ("log_softmax_rows of a vector", lambda: ad.log_softmax_rows(Tensor(np.ones(3))),
+     ShapeError, "log_softmax_rows expects a matrix"),
+    ("segment_signed_softmax of a matrix",
+     lambda: ad.segment_signed_softmax(Tensor(np.ones((3, 1))), [0, 0, 1], 2), ShapeError,
+     "segment_signed_softmax expects a 1-d logits tensor"),
+    ("segment_signed_softmax short of a segment id",
+     lambda: ad.segment_signed_softmax(Tensor(np.ones(3)), [0, 1], 2), ShapeError,
+     "one segment id per logit required"),
+    ("backward of a vector", lambda: ad.backward(Tensor(np.ones(2), requires_grad=True)),
+     ShapeError, "backward requires a scalar output"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in CHECKS],
+                         ids=[row[0] for row in CHECKS])
+def test_a_bad_argument_raises_its_error(call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message)):
+        call()

@@ -92,13 +92,6 @@ def test_forward_keeps_no_edge_wide_array_but_the_logits(monkeypatch, heads):
     assert edge_wide().count(("gather_sum", (7,))) == heads
 
 
-def test_mlp_rejects_an_input_of_the_wrong_width():
-    layer = make_layer(in_width=3)
-    H = Tensor(np.ones((4, 3)))
-    with pytest.raises(ShapeError, match="Mlp expects 7 input columns, got 6"):
-        layer.att[0](H, [0, 1], [1, 2])
-
-
 def test_mlp_rows_reject_node_rows_that_do_not_fit_the_first_layer():
     # the attention scorer's w0 has 2d + 1 rows, a head's 2d; a narrower H
     # would split w0 into the wrong blocks

@@ -434,7 +434,7 @@ def loss_and_gradients(monkeypatch, task, chunk_rows):
     def one_graph(terms):
         emb = model.embeddings()
         return functools.reduce(ad.add, [
-            ad.mul(loss(layer.Mlp.__call__(head, emb, pairs[:, 0], pairs[:, 1]), targets), weight)
+            ad.mul(loss(head(head.rows(emb), pairs[:, 0], pairs[:, 1]), targets), weight)
             for head, pairs, targets, loss, weight in terms])
 
     model.tape.reset()
@@ -580,6 +580,20 @@ def test_failed_parameter_load_names_the_parameter_and_changes_nothing():
     assert all(np.array_equal(model.tape.params[k].values, shifted[k]) for k in before)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_parameter_load_rejects_a_non_finite_value_and_changes_nothing(bad):
+    model = TaskModel("weight", random_graph(np.random.default_rng(9), 12, 0.35), tiny_config())
+    before = model.parameter_arrays()
+    # the last array checked: a load that set arrays as it checked them would set all the others
+    name = list(model.tape.params)[-1]
+    arrays = {k: v + 1.0 for k, v in before.items()}
+    arrays[name].flat[0] = bad
+    with pytest.raises(ValueError, match=f"parameter '{name}' holds NaN or inf"):
+        model.load_parameter_arrays(arrays)
+    after = model.parameter_arrays()
+    assert all(np.array_equal(after[k], before[k]) for k in before)
+
+
 def test_loss_monotonicity():
     g = random_graph(np.random.default_rng(2), 12, 0.35)
     _, report = train("weight", g, tiny_config(epochs=25, patience=25))
@@ -629,6 +643,9 @@ def test_term_lists_hold_the_train_pairs_and_their_targets(monkeypatch, task, va
     for terms in (train_terms, val_terms):
         assert [head for head, *_ in terms] == [getattr(model, name) for name in heads]
         for (head, pairs, targets, loss, weight), name in zip(terms, heads):
+            assert loss is {"sign_head": pipelines.cross_entropy,
+                            "exist_head": pipelines.bce_with_logits,
+                            "weight_head": pipelines.mse}[name]
             assert len(targets) == len(pairs) and pairs.dtype == np.int64
             edge_w = [weight_of.get((s, d)) for s, d in pairs.tolist()]
             if name == "sign_head":

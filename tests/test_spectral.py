@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wsgat import spectral
 from wsgat.errors import ConvergenceError
 from wsgat.graph import SignedWeightedGraph
 from wsgat.spectral import signed_spectral_embedding, fallback_features, _signed_adjacency
@@ -83,11 +84,14 @@ def test_deterministic_given_seed():
     assert np.array_equal(X1, X2)
 
 
-def test_nonconvergence_raises():
+def test_nonconvergence_raises(monkeypatch):
     # at 40 nodes one restart does not span the whole graph, as it would at 12
     g = random_graph(np.random.default_rng(1), 40, 0.4)
-    with pytest.raises(ConvergenceError, match=r"of 8 eigenpairs converged"):
-        signed_spectral_embedding(g, d=4, seed=0, iters=1, tol=1e-15)
+    monkeypatch.setattr(spectral, "_LANCZOS_RESTARTS", 1)
+    monkeypatch.setattr(spectral, "_LANCZOS_TOL", 1e-15)
+    with pytest.raises(ConvergenceError, match=r"did not converge in 1 restarts: "
+                                               r"\d+ of 8 eigenpairs converged"):
+        signed_spectral_embedding(g, d=4, seed=0)
 
 
 def test_d_larger_than_n_rejected():
