@@ -90,9 +90,6 @@ class Tensor:
         # never written in place: + makes a new array
         self.grad = g if self.grad is None else self.grad + g
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
@@ -326,10 +323,8 @@ def concat(parts, axis=0):
 
 
 def squeeze_col(a):
-    """(n, 1) column -> (n,); a 1-d tensor is returned unchanged."""
+    """(n, 1) column -> (n,)."""
     a = _as_tensor(a)
-    if a.values.ndim == 1:
-        return a
     if a.values.ndim != 2 or a.shape[1] != 1:
         raise ShapeError(f"squeeze_col: expected a column, got {a.shape}")
     return _node(a.values[:, 0], "squeeze_col", (a, lambda g: g[:, None]))
@@ -590,15 +585,12 @@ def backward(output):
 
 
 class Tape:
-    """Parameter registry plus a guard against a second backward without
-    reset(), which would add a second loss's gradients into the parameters'.
-    A loss's own graph is spent by its sweep and raises RuntimeError if swept
-    again; the guard also refuses a fresh loss until reset()."""
+    """Parameter registry: named leaf tensors, their Glorot initialisation from
+    one seeded generator, and reset(), which clears their gradients."""
 
     def __init__(self, seed=0):
         self.params = {}
         self.rng = np.random.default_rng(seed)
-        self._swept = False
 
     def parameter(self, name, values):
         if name in self.params:
@@ -612,19 +604,9 @@ class Tape:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return self.parameter(name, self.rng.uniform(-limit, limit, size=shape))
 
-    def zeros(self, name, shape):
-        return self.parameter(name, np.zeros(shape))
-
-    def backward(self, loss):
-        if self._swept:
-            raise RuntimeError("backward called twice without reset()")
-        backward(loss)
-        self._swept = True
-
     def reset(self):
         for p in self.params.values():
-            p.zero_grad()
-        self._swept = False
+            p.grad = None
 
     def parameter_list(self):
         return [self.params[k] for k in sorted(self.params)]

@@ -63,7 +63,7 @@ def parse_config(path=None):
     if not path:
         return TrainConfig()
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:  # -sig: a leading BOM is dropped
             lines = f.readlines()
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None

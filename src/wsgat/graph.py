@@ -108,7 +108,7 @@ def load_edge_list(path, fmt=None, symmetrize=False):
     tsv3 = fmt == "tsv3"
     header_allowed = fmt == "csv4"  # until the first record
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:  # -sig: a leading BOM is dropped
             for lineno, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line or line[0] == "#":
@@ -179,13 +179,14 @@ def _label_key(lab):
 
 def _tsv3_label_fault(label, is_source):
     """Why load_edge_list would not read ``label`` back from a tsv3 line, or None.
-    Only a line's first field can be lost to the line's strip or read as a comment."""
+    Only a line's first field can be lost to the line's strip, read as a
+    comment or, on the file's first line, lose a leading BOM."""
     if any(c in label for c in "\t\r\n"):
         return "it holds a tab or a line break"
     if label != label.strip():
         return "it has leading or trailing whitespace"
-    if is_source and (not label or label.startswith("#")):
-        return "a line cannot start with an empty label or '#'"
+    if is_source and (not label or label.startswith(("#", "\ufeff"))):
+        return "a line cannot start with an empty label, '#' or a BOM"
     return None
 
 

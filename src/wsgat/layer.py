@@ -58,7 +58,7 @@ class Mlp:
         self.weights, self.biases = [], []
         for i, (a, b) in enumerate(zip(sizes[:-1], sizes[1:])):
             self.weights.append(tape.glorot(f"{prefix}.w{i}", (a, b)))
-            self.biases.append(tape.zeros(f"{prefix}.b{i}", (b,)))
+            self.biases.append(tape.parameter(f"{prefix}.b{i}", np.zeros(b)))
         self.acts = [hidden_act] * (len(sizes) - 2) + [out_act]
 
     def rows(self, H):
@@ -153,7 +153,7 @@ class WsGatLayer:
                             *mlp.rows(H))  # (E+N, 1)
 
     def attention_coefficients(self, head, logits, g):
-        """Signed softmax per destination node."""
+        """Signed softmax per destination node of the edges' logit column."""
         _, dst, _ = self.edge_arrays(g)
         return ad.segment_signed_softmax(ad.squeeze_col(logits), dst, g.num_nodes)
 

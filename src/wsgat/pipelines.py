@@ -225,13 +225,13 @@ class TaskModel:
 
 def bce_with_logits(logits, labels):
     """mean(softplus(z) - z*y), the stable binary cross-entropy, of a head's
-    logit column (or a 1-d tensor) z and the array of 0/1 labels y."""
+    logit column z and the array of 0/1 labels y."""
     z = ad.squeeze_col(logits)
     return ad.mean_(ad.sub(ad.softplus(z), ad.mul(z, labels)))
 
 
 def mse(pred, target):
-    """mean((p - t)^2) of a head's output column (or a 1-d tensor) p and the array t."""
+    """mean((p - t)^2) of a head's output column p and the array t."""
     diff = ad.sub(ad.squeeze_col(pred), target)
     return ad.mean_(ad.mul(diff, diff))
 
@@ -269,8 +269,9 @@ def _head_chunks(head, rows, pairs):
 
 def _pair_loss(model, terms, sweep):
     """The loss ``sum(weight * loss(head output, targets))`` over ``terms`` of
-    (head, pairs, targets, loss, weight), as a float; with ``sweep``, every
-    parameter's gradient too.
+    (head, pairs, targets, loss, weight), as a float. With ``sweep``, every
+    parameter's gradient too: the tape's gradients are cleared first, so they
+    hold this loss's gradients alone.
 
     The embeddings are computed once, and each term's node rows (head.rows)
     just before its chunks. Each chunk of at most _PAIR_CHUNK_ROWS pairs runs
@@ -280,6 +281,8 @@ def _pair_loss(model, terms, sweep):
     node that moves each leaf's gradient to its row, carries them through the
     rows and the GNN and frees each once its row has passed it on.
     """
+    if sweep:
+        model.tape.reset()
     emb = model.embeddings()
     rows, leaves, total = [], [], 0.0
     for head, pairs, targets, loss, weight in terms:
@@ -297,14 +300,15 @@ def _pair_loss(model, terms, sweep):
     if sweep:
         # rows and leaves in term order, each head's first row before its
         # second: the order in which one graph over all pairs adds their gradients
-        model.tape.backward(ad.relay(total, rows, leaves))
+        ad.backward(ad.relay(total, rows, leaves))
     return total
 
 
 def _train_loop(model, train_terms, val_terms, config):
     """Full-batch Adam on the _pair_loss of ``train_terms``, with early stopping
     on that of ``val_terms`` (the same list when there is no validation slice).
-    Returns (epochs_run, train_loss_history).
+    The swept train loss clears the gradients it fills, so each step reads one
+    epoch's gradients. Returns (epochs_run, train_loss_history).
     """
     opt = Adam(model.tape.parameter_list(), lr=config.lr)
     best_val = np.inf
@@ -312,7 +316,6 @@ def _train_loop(model, train_terms, val_terms, config):
     bad_epochs = 0
     history = []
     for _ in range(config.epochs):
-        model.tape.reset()
         history.append(_pair_loss(model, train_terms, sweep=True))
         opt.step()
         val = _pair_loss(model, val_terms, sweep=False)

@@ -61,7 +61,7 @@ def fd_gradcheck(make_loss, params):
     """
     loss = make_loss()
     for p in params:
-        p.zero_grad()
+        p.grad = None
     ad.backward(loss)
     analytic = [np.array(p.grad if p.grad is not None else np.zeros_like(p.values))
                 for p in params]
@@ -199,7 +199,7 @@ def _gradcheck_ops():
     logits3 = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     labels3 = rng.integers(0, 3, 5)
     check("cross_entropy", lambda: cross_entropy(logits3, labels3), [logits3])
-    z = Tensor(rng.standard_normal(8), requires_grad=True)
+    z = Tensor(rng.standard_normal((8, 1)), requires_grad=True)
     y = rng.integers(0, 2, 8).astype(float)
     check("bce_with_logits", lambda: bce_with_logits(z, y), [z])
     bias = Tensor(rng.standard_normal(2), requires_grad=True)

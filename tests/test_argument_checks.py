@@ -39,6 +39,8 @@ CHECKS = [
     ("concat of nothing", lambda: ad.concat([]), ShapeError, "concat of zero tensors"),
     ("squeeze_col of a matrix", lambda: ad.squeeze_col(Tensor(np.ones((3, 2)))), ShapeError,
      "squeeze_col: expected a column, got (3, 2)"),
+    ("squeeze_col of a vector", lambda: ad.squeeze_col(Tensor(np.ones(3))), ShapeError,
+     "squeeze_col: expected a column, got (3,)"),
     ("log_softmax_rows of a vector", lambda: ad.log_softmax_rows(Tensor(np.ones(3))),
      ShapeError, "log_softmax_rows expects a matrix"),
     ("segment_signed_softmax of a matrix",

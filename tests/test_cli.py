@@ -321,6 +321,14 @@ def test_parse_config_values(tmp_path):
     assert cfg.heads == TrainConfig().heads
 
 
+def test_parse_config_ignores_a_leading_bom(tmp_path):
+    # Notepad and Excel start a UTF-8 file with U+FEFF, which is no part of the first key
+    p = tmp_path / "c.cfg"
+    p.write_text("\ufeffepochs = 3\nlr = 0.01\n", encoding="utf-8")
+    cfg = parse_config(str(p))
+    assert (cfg.epochs, cfg.lr) == (3, 0.01)
+
+
 def test_parse_config_rejects_unknown_key(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("nonsense = 1\n")

@@ -77,6 +77,20 @@ def test_file_that_is_not_utf8_raises_graph_parse_error(tmp_path):
     assert e.value.lineno is None and str(e.value).startswith(f"{p}: ")
 
 
+@pytest.mark.parametrize("name, text", [("g.tsv", "1 2 0.5\n2 1 -1\n1 3 1\n"),
+                                        ("g.csv", "1,2,0.5,0\n2,1,-1,0\n1,3,1,0\n")],
+                         ids=["tsv3", "csv4"])
+def test_a_leading_bom_is_not_part_of_the_first_label(tmp_path, name, text):
+    # Excel's "CSV UTF-8" and Notepad start a UTF-8 file with U+FEFF
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    a, b = load_edge_list(plain), load_edge_list(marked)
+    assert a.node_labels == b.node_labels == ("1", "2", "3")
+    for x, y in ((a.src, b.src), (a.dst, b.dst), (a.weight, b.weight)):
+        assert np.array_equal(x, y)
+
+
 def loop_load_edge_list(path, fmt=None, symmetrize=False):
     """Reference loader: one (src, dst, weight) tuple per record, labels indexed
     by a list comprehension, np.isfinite on each weight."""
@@ -85,7 +99,7 @@ def loop_load_edge_list(path, fmt=None, symmetrize=False):
     raw = []
     first_record = True
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -269,6 +283,7 @@ def test_roundtrip_tsv3(tmp_path):
 @pytest.mark.parametrize("labels, bad", [
     (("a\tq", "c"), "a\tq"), (("a", "c\td"), "c\td"), (("a\rq", "c"), "a\rq"),
     ((" a", "c"), " a"), (("a", "c "), "c "), (("", "c"), ""), (("#a", "c"), "#a"),
+    (("\ufeffa", "c"), "\ufeffa"),
 ])
 def test_save_rejects_a_label_tsv3_cannot_read_back(tmp_path, labels, bad):
     g = SignedWeightedGraph.from_edges(2, [0], [1], [2.0], labels)

@@ -66,7 +66,7 @@ def test_attention_mlp_matches_the_dense_mlp_over_pair_features(seed):
         ad.backward(ad.sum_(ad.mul(out, dense.values)))
         grads.append([p.grad for p in mlp.weights + mlp.biases])
         for p in mlp.weights + mlp.biases:
-            p.zero_grad()
+            p.grad = None
     for got, ref in zip(*grads):
         assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
@@ -128,7 +128,7 @@ def test_all_positive_logits_reduce_to_standard_softmax():
     H = Tensor(np.random.default_rng(2).standard_normal((6, 3)))
     logits = layer.attention_logits(0, H, g)
     forced = np.abs(logits.values[:, 0])
-    alpha = layer.attention_coefficients(0, Tensor(forced), g).values
+    alpha = layer.attention_coefficients(0, Tensor(forced[:, None]), g).values
     src, dst, _ = layer.edge_arrays(g)
     for i in range(6):
         mask = dst == i

@@ -426,7 +426,6 @@ def loss_and_gradients(monkeypatch, task, chunk_rows):
               tiny_config(layers=2, heads=2, head_hidden=9))
     model, train_terms, val_terms = captured[0]
     monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", chunk_rows)
-    model.tape.reset()
     loss = pipelines._pair_loss(model, train_terms, sweep=True)
     chunked = (loss, [p.grad for p in model.tape.parameter_list()],
                pipelines._pair_loss(model, val_terms, sweep=False))
@@ -439,7 +438,7 @@ def loss_and_gradients(monkeypatch, task, chunk_rows):
 
     model.tape.reset()
     loss = one_graph(train_terms)
-    model.tape.backward(loss)
+    ad.backward(loss)
     whole = (float(loss.values), [p.grad for p in model.tape.parameter_list()],
              float(one_graph(val_terms).values))
     return chunked, whole, len(train_terms[0][1])
@@ -592,6 +591,52 @@ def test_parameter_load_rejects_a_non_finite_value_and_changes_nothing(bad):
         model.load_parameter_arrays(arrays)
     after = model.parameter_arrays()
     assert all(np.array_equal(after[k], before[k]) for k in before)
+
+
+def test_early_stopping_restores_the_parameters_of_the_best_validation_loss(monkeypatch):
+    """Training ends at the third epoch in a row whose validation loss is not
+    below the best so far by more than 1e-12, and keeps the parameters that
+    gave the best one."""
+    pair_loss, val_losses, params = pipelines._pair_loss, [], []
+
+    def watched_pair_loss(model, terms, sweep):
+        loss = pair_loss(model, terms, sweep)
+        if not sweep:  # an epoch's validation loss, after its step
+            val_losses.append(loss)
+            params.append(model.parameter_arrays())
+        return loss
+
+    monkeypatch.setattr(pipelines, "_pair_loss", watched_pair_loss)
+    model, report = train("sign", random_graph(np.random.default_rng(4), 12, 0.35),
+                          tiny_config(lr=0.05, epochs=60, patience=3))
+    assert report.epochs_run == len(val_losses) < 60
+    best, bad = 0, 0
+    for epoch in range(1, len(val_losses)):
+        if val_losses[epoch] < val_losses[best] - 1e-12:
+            best, bad = epoch, 0
+        else:
+            bad += 1
+        assert (bad == 3) == (epoch == len(val_losses) - 1)
+    final = model.parameter_arrays()
+    assert final.keys() == params[best].keys()
+    assert all(np.array_equal(final[k], params[best][k]) for k in final)
+    assert not all(np.array_equal(final[k], params[-1][k]) for k in final)
+
+
+@pytest.mark.parametrize("task", ["sign", "signed-weight"])
+def test_a_swept_loss_gives_the_same_gradients_over_stale_ones(monkeypatch, task):
+    """Gradients left on every parameter, as by an earlier loss with no step
+    between, do not reach those a swept _pair_loss gives."""
+    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 5)
+    _, (model, train_terms, _) = captured_term_lists(monkeypatch, task, 0.1)
+    params = model.tape.parameter_list()
+    pipelines._pair_loss(model, train_terms, sweep=True)
+    clean = [p.grad for p in params]
+    model.tape.reset()
+    for p in params:
+        p.grad = np.ones_like(p.values)
+    pipelines._pair_loss(model, train_terms, sweep=True)
+    assert all(np.array_equal(p.grad, g) for p, g in zip(params, clean))
 
 
 def test_loss_monotonicity():
