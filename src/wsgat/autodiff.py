@@ -13,9 +13,10 @@ lives only until the last gradient that needs it exists. A swept graph cannot
 be swept again: reaching a swept node, from the same root or another, raises
 RuntimeError.
 
-Every op builds its output through one constructor, _node(values, op, *grads),
-each grad a (parent, g -> gradient) pair; _node holds the only backward
-closure. add, sub and mul broadcast in exactly three cases: identical shapes,
+Every op but recompute builds its output through one constructor,
+_node(values, op, *grads), each grad a (parent, g -> gradient) pair; _node
+holds the only backward closure but recompute's, which builds its Tensor
+itself. add, sub and mul broadcast in exactly three cases: identical shapes,
 a scalar on either side, or an (n, k) matrix on the left plus a (k,) row on
 the right (the bias, whose gradient is the column sums of g). Any other pairing
 raises ShapeError.
@@ -407,9 +408,10 @@ def segment_sum(a, segments, num_segments):
                  (a, lambda g: g[segments]))
 
 
-# edges per chunk of propagate's alpha gradient: its gathered products then
-# take 16384 x F floats, however many edges the graph has
-_PROPAGATE_CHUNK_ROWS = 16384
+# rows per chunk of propagate's alpha gradient (edges) and of a pair head
+# (pairs, pipelines._head_chunks): a chunk's transients then take 16384 x width
+# floats, however many edges or pairs there are
+_CHUNK_ROWS = 16384
 
 
 def propagate(z, alpha, src, dst, n):
@@ -435,8 +437,8 @@ def propagate(z, alpha, src, dst, n):
 
     def dalpha(g):
         out = np.empty(len(src))
-        for lo in range(0, len(src), _PROPAGATE_CHUNK_ROWS):
-            rows = slice(lo, lo + _PROPAGATE_CHUNK_ROWS)
+        for lo in range(0, len(src), _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
             products = g[dst[rows]]
             products *= z.values[src[rows]]
             out[rows] = products.sum(axis=1)
@@ -607,9 +609,6 @@ class Tape:
     def reset(self):
         for p in self.params.values():
             p.grad = None
-
-    def parameter_list(self):
-        return [self.params[k] for k in sorted(self.params)]
 
 
 class Adam:

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, EmptyGraphError, GraphParseError, GraphWriteError,
-                     SamplingExhaustedError)
+from .errors import (ConfigError, DegenerateTaskError, EmptyGraphError, GraphParseError,
+                     GraphWriteError, SamplingExhaustedError)
 
 FORMATS = ("tsv3", "csv4")  # edge list formats load_edge_list reads
 
@@ -93,14 +93,15 @@ def load_edge_list(path, fmt=None, symmetrize=False):
     tsv3: "src<TAB>dst<TAB>weight" with '#' comment lines.
     csv4: "SOURCE,TARGET,RATING,TIME" (TIME ignored). An optional header is
     the first line that is neither blank nor a '#' comment.
-    ``fmt=None`` reads a ``.csv`` file as csv4 and any other file as tsv3.
+    ``fmt=None`` reads a ``.csv`` file, in any case, as csv4 and any other
+    file as tsv3.
 
     Duplicate (src, dst) pairs keep the last occurrence; self-loops are dropped.
     With ``symmetrize`` both arcs are emitted for every input line (undirected
     inputs such as the advogato variant).
     """
     if fmt is None:
-        fmt = "csv4" if os.fspath(path).endswith(".csv") else "tsv3"
+        fmt = "csv4" if os.fspath(path).lower().endswith(".csv") else "tsv3"
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -213,13 +214,18 @@ def normalize_weights(g, mode="signed_unit"):
 
     unit_abs:    w -> |w| / max|w|   (range (0, 1])
     signed_unit: w -> w / max|w|     (range [-1, 1] minus 0)
+
+    Raises DegenerateTaskError when a weight rounds to 0 on that scale: a
+    subnormal one, or one more than float64's range below the largest.
     """
     if mode not in ("unit_abs", "signed_unit"):
         raise ValueError(f"unknown mode {mode!r}")
-    scale = np.max(np.abs(g.weight))
-    if scale <= 0:
-        raise ValueError("max |weight| must be positive")
+    scale = float(np.max(np.abs(g.weight)))
     w = np.abs(g.weight) / scale if mode == "unit_abs" else g.weight / scale
+    zeros = np.count_nonzero(w == 0)
+    if zeros:
+        raise DegenerateTaskError(f"{zeros} of {len(w)} edge weights round to 0 when divided "
+                                  f"by the largest |weight|, {scale}")
     return SignedWeightedGraph.from_edges(g.num_nodes, g.src, g.dst, w, g.node_labels)
 
 

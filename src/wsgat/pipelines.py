@@ -14,7 +14,7 @@ on the signed_unit scale.
 
 Every loss and every evaluation computes the embeddings and each head's node
 rows (Mlp.rows) once, then runs the head's pair stage over chunks of at most
-_PAIR_CHUNK_ROWS pairs (_head_chunks), so a head's activations take
+autodiff._CHUNK_ROWS pairs (_head_chunks), so a head's activations take
 chunk-sized memory, not pair-count-sized. A training loss runs the chunks on
 leaf copies of the rows and sweeps each backward at once; one last sweep, from
 an autodiff.relay node, carries the gradients the leaves gathered through the
@@ -36,16 +36,12 @@ from . import autodiff as ad
 from .autodiff import Tensor, Tape, Adam
 from .errors import ConfigError, DegenerateTaskError
 from .graph import _member, normalize_weights, pair_keys, split_edges
-from .layer import Mlp, WsGatStack, _activation, pair_features
+from .layer import ACTIVATIONS, Mlp, WsGatStack, pair_features
 from .metrics import roc_auc, f1_score, mean_absolute_error
 from .spectral import signed_spectral_embedding, fallback_features
 
 TASKS = ("sign", "weight", "signed-weight")
 FEATURES = ("degree_onehot_log", "sse", "random_normal")
-
-# pairs per chunk of a head: a chunk's activations then take 16384 x head_hidden
-# floats per layer, however many pairs a loss or an evaluation scores
-_PAIR_CHUNK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,8 @@ class TrainConfig:
                     raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)}")
         if self.features not in FEATURES:
             raise ConfigError(f"unknown feature kind {self.features!r}")
-        _activation(self.activation)
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}")
 
     def digest(self):
         blob = json.dumps(asdict(self), sort_keys=True).encode()
@@ -260,10 +257,10 @@ def _val_slice(n, frac, rng):
 
 def _head_chunks(head, rows, pairs):
     """``(part, head(rows, s, d))`` for each slice ``part`` of at most
-    _PAIR_CHUNK_ROWS of ``pairs``, ``s`` and ``d`` its two node columns. The
-    caller drops each output before asking for the next."""
-    for lo in range(0, len(pairs), _PAIR_CHUNK_ROWS):
-        part = slice(lo, lo + _PAIR_CHUNK_ROWS)
+    autodiff._CHUNK_ROWS of ``pairs``, ``s`` and ``d`` its two node columns.
+    The caller drops each output before asking for the next."""
+    for lo in range(0, len(pairs), ad._CHUNK_ROWS):
+        part = slice(lo, lo + ad._CHUNK_ROWS)
         yield part, head(rows, pairs[part, 0], pairs[part, 1])
 
 
@@ -274,7 +271,7 @@ def _pair_loss(model, terms, sweep):
     hold this loss's gradients alone.
 
     The embeddings are computed once, and each term's node rows (head.rows)
-    just before its chunks. Each chunk of at most _PAIR_CHUNK_ROWS pairs runs
+    just before its chunks. Each chunk of at most autodiff._CHUNK_ROWS pairs runs
     the head on leaf copies of the rows, weighted by its share of the pairs,
     and is swept backward and freed before the next, so the leaves and the head
     weights gather the chunks' gradients. A last sweep, from an autodiff.relay
@@ -308,9 +305,9 @@ def _train_loop(model, train_terms, val_terms, config):
     """Full-batch Adam on the _pair_loss of ``train_terms``, with early stopping
     on that of ``val_terms`` (the same list when there is no validation slice).
     The swept train loss clears the gradients it fills, so each step reads one
-    epoch's gradients. Returns (epochs_run, train_loss_history).
+    epoch's gradients. Returns the train loss history, one entry per epoch run.
     """
-    opt = Adam(model.tape.parameter_list(), lr=config.lr)
+    opt = Adam(model.tape.params.values(), lr=config.lr)
     best_val = np.inf
     best_params = model.parameter_arrays()
     bad_epochs = 0
@@ -328,7 +325,7 @@ def _train_loop(model, train_terms, val_terms, config):
             if bad_epochs >= config.patience:
                 break
     model.load_parameter_arrays(best_params)
-    return len(history), history
+    return history
 
 
 def _check_hygiene(split):
@@ -427,8 +424,8 @@ def train(task, g, config, dataset="unknown"):
     term_lists = [[(head, p[i], y[i], loss, weight)
                    for (head, p, y, loss, weight), i in zip(terms, idx)]
                   for idx in slices[:1 if config.val_fraction == 0 else 2]]
-    epochs_run, history = _train_loop(model, term_lists[0], term_lists[-1], config)
+    history = _train_loop(model, term_lists[0], term_lists[-1], config)
     report = evaluate(model, split, task, dataset=dataset,
-                      epochs_run=epochs_run, wall_s=time.time() - t0)
+                      epochs_run=len(history), wall_s=time.time() - t0)
     report.history = history
     return model, report

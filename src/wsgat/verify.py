@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad, checkpoint, pipelines
 from .autodiff import Tensor, Tape
 from .graph import SignedWeightedGraph
-from .layer import WsGatLayer, WsGatStack, _activation
+from .layer import WsGatLayer, WsGatStack
 from .metrics import roc_auc, f1_score, mean_absolute_error
 from .pipelines import TaskModel, TrainConfig, cross_entropy, bce_with_logits, mse
 from .spectral import signed_spectral_embedding, _signed_adjacency
@@ -123,11 +123,12 @@ def dense_layer_reference(layer, H, g):
 
 def dense_mlp_reference(mlp, X):
     """``mlp`` over a built input matrix X, such as ``pair_features``, through
-    matmul and add: the reference of ``Mlp``'s split first layer."""
+    matmul and add: the reference of ``Mlp``'s split first layer. Its
+    activation names are autodiff op names."""
     for w, b, act in zip(mlp.weights, mlp.biases, mlp.acts):
         X = ad.add(ad.matmul(X, w), b)
         if act is not None:
-            X = _activation(act)(X)
+            X = getattr(ad, act)(X)
     return X
 
 
@@ -267,8 +268,7 @@ def _gradcheck_models():
             H = layer.forward(H, g)
         if near_zero:
             continue
-        params = model.tape.parameter_list()
-        err = fd_gradcheck(model_loss, params)
+        err = fd_gradcheck(model_loss, model.tape.params.values())
         if err >= FD_RTOL:
             failures.append(("wsgat", f"gradcheck:full_model_{trial}", err))
     return failures
@@ -456,20 +456,21 @@ def parity_cases():
 
 
 def parity(cases):
-    """Print the digest of every case at the default pipelines._PAIR_CHUNK_ROWS
-    and at 37, then the digest of them all, which is returned. The default
-    scores each of these graphs' losses in one chunk; 37 splits it into many,
-    so a change in how chunks add up shows there."""
-    default, overall = pipelines._PAIR_CHUNK_ROWS, hashlib.sha256()
+    """Print the digest of every case at the default autodiff._CHUNK_ROWS and
+    at 37, then the digest of them all, which is returned. The default scores
+    each of these graphs' losses, and propagates over their edges, in one
+    chunk; 37 splits both into many, so a change in how chunks add up shows
+    there."""
+    default, overall = ad._CHUNK_ROWS, hashlib.sha256()
     try:
         for rows in (default, 37):
-            pipelines._PAIR_CHUNK_ROWS = rows
+            ad._CHUNK_ROWS = rows
             for name, task, g, config in cases:
                 digest = case_digest(task, g, config)
                 overall.update(digest.encode())
                 print(f"chunk_rows={rows} {name} {digest[:16]}")
     finally:
-        pipelines._PAIR_CHUNK_ROWS = default
+        ad._CHUNK_ROWS = default
     print(f"overall {overall.hexdigest()[:16]}")
     return overall.hexdigest()
 

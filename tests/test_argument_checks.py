@@ -12,7 +12,7 @@ from wsgat.errors import ConfigError, ShapeError
 from wsgat.graph import load_edge_list, normalize_weights
 from wsgat.layer import WsGatLayer
 from wsgat.pipelines import TaskModel, TrainConfig
-from wsgat.spectral import fallback_features
+from wsgat.spectral import fallback_features, signed_spectral_embedding
 from wsgat.verify import random_graph
 
 GRAPH = random_graph(np.random.default_rng(0), 6, 0.5)
@@ -36,6 +36,17 @@ CHECKS = [
     ("feature width", lambda: fallback_features(GRAPH, d=0), ConfigError,
      "feature_dim must be >= 1, got 0"),
     ("task", lambda: TaskModel("rank", GRAPH, TrainConfig()), ValueError, "unknown task 'rank'"),
+    ("spectral width", lambda: signed_spectral_embedding(GRAPH, d=7), ValueError,
+     "d=7 exceeds num_nodes=6"),
+    ("attention rows", lambda: WsGatLayer(Tape(seed=0), "gnn0", 3, 4, TrainConfig())
+     .attention_logits(0, Tensor(np.ones((5, 3))), GRAPH), ShapeError,
+     "feature row count must equal num_nodes"),
+    ("matmul of mismatched shapes", lambda: ad.matmul(Tensor(np.ones((2, 3))),
+                                                      Tensor(np.ones((2, 3)))),
+     ShapeError, "matmul: incompatible shapes (2, 3) and (2, 3)"),
+    ("propagate short of a destination",
+     lambda: ad.propagate(Tensor(np.ones((3, 2))), Tensor(np.ones(2)), [0, 1], [0], 3),
+     ShapeError, "propagate: (2,) sources, (1,) destinations and (2,) coefficients"),
     ("concat of nothing", lambda: ad.concat([]), ShapeError, "concat of zero tensors"),
     ("squeeze_col of a matrix", lambda: ad.squeeze_col(Tensor(np.ones((3, 2)))), ShapeError,
      "squeeze_col: expected a column, got (3, 2)"),

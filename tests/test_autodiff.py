@@ -532,7 +532,7 @@ def test_propagate_gives_the_bits_of_take_scale_segment_sum(data, n, extra_rows,
         merged = ad.concat([out, Tensor(np.ones((n, 2)))], axis=1)
         return out.values.tobytes(), _grads_after(ad.sum_(ad.mul(merged, upstream)), (z, alpha))
 
-    with mock.patch.object(ad, "_PROPAGATE_CHUNK_ROWS", chunk):
+    with mock.patch.object(ad, "_CHUNK_ROWS", chunk):
         fused = run(lambda z, alpha: ad.propagate(z, alpha, src, dst, n))
     assert fused == run(lambda z, alpha: ad.segment_sum(
         ad.scale_rows(ad.take_rows(z, src), alpha), dst, n))

@@ -82,6 +82,14 @@ def test_trailing_bytes_raise_value_error_naming_the_path(tmp_path):
         load_arrays(p)
 
 
+def test_foreign_file_raises_value_error_naming_the_path(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_arrays(p, {"w": np.ones(2)})
+    p.write_bytes(b"WSGT2" + p.read_bytes()[len(MAGIC):])  # whole but for its magic
+    with pytest.raises(ValueError, match=re.escape(f"{p}: not a wsgat checkpoint")):
+        load_arrays(p)
+
+
 @pytest.mark.parametrize("name, dims", [
     (b"w", (2**40,)),          # 8 TB of data declared
     (b"w", (2**32, 2**32)),    # element count past 2**64

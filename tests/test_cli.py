@@ -104,6 +104,10 @@ def test_ingest_picks_csv4_for_a_csv_file(tmp_path, capsys):
     assert main(["ingest", str(p), "--name", "bitcoin-alpha", "--out", str(out)]) == 0
     assert "3 edges" in capsys.readouterr().out
     assert (out / "bitcoin-alpha.tsv").exists()
+    upper = p.rename(tmp_path / "SOC-SIGN-BITCOINALPHA.CSV")  # the suffix in any case
+    assert main(["ingest", str(upper), "--out", str(out)]) == 0
+    assert "3 edges" in capsys.readouterr().out
+    assert (out / "SOC-SIGN-BITCOINALPHA.tsv").exists()
 
 
 def test_train_picks_csv4_for_a_csv_file(tmp_path, tiny_cfg, capsys):
@@ -219,6 +223,21 @@ def test_sign_task_on_all_positive_graph_exit_code(tmp_path, tiny_cfg):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("task", ["sign", "weight"])
+@pytest.mark.parametrize("tiny", ["5e-324", "1e-300"], ids=["subnormal", "range"])
+def test_a_weight_that_rounds_to_zero_exits_3_with_one_line(tmp_path, tiny_cfg, capsys,
+                                                            task, tiny):
+    # 5e-324 next to -2, and 1e-300 next to -1e300, are 0 once divided by max |w|
+    big = "-2" if tiny == "5e-324" else "-1e300"
+    p = tmp_path / "tiny.tsv"
+    p.write_text(f"0\t1\t{tiny}\n1\t2\t{big}\n2\t0\t1\n1\t0\t1\n0\t2\t-1\n2\t1\t1\n")
+    assert main(["train", task, str(p), "--config", tiny_cfg,
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1 of 6 edge weights round to 0")
+    assert len(err.strip().splitlines()) == 1 and "np.float64" not in err
+
+
 def test_reproduce_missing_dataset_message(tmp_path, capsys):
     rc = main(["reproduce", "4", "--data", str(tmp_path), "--seeds", "1",
                "--out", str(tmp_path / "o")])
@@ -269,7 +288,7 @@ def test_verify_oracle_suite():
 
 
 def test_parity_digests_repeat_within_one_process(capsys):
-    from wsgat import pipelines, verify
+    from wsgat import autodiff, verify
     cases = [("tiny", "sign", random_graph(np.random.default_rng(4), 12, 0.35),
               TrainConfig(layers=1, hidden=4, embed=4, heads=2, attention_hidden=4,
                           head_hidden=5, feature_dim=3, epochs=3))]
@@ -279,7 +298,7 @@ def test_parity_digests_repeat_within_one_process(capsys):
     assert lines[:3] == lines[3:] and lines[2] == f"overall {overall[:16]}"
     assert [line.split()[:2] for line in lines[:2]] == [["chunk_rows=16384", "tiny"],
                                                        ["chunk_rows=37", "tiny"]]
-    assert pipelines._PAIR_CHUNK_ROWS == 16384
+    assert autodiff._CHUNK_ROWS == 16384
 
 
 @pytest.mark.parametrize("argv", [[], ["metrics"], ["parity", "parity"]])

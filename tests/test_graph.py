@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from wsgat.errors import (EmptyGraphError, GraphParseError, GraphWriteError,
-                          SamplingExhaustedError)
+from wsgat.errors import (DegenerateTaskError, EmptyGraphError, GraphParseError,
+                          GraphWriteError, SamplingExhaustedError)
 from wsgat.graph import (
     SignedWeightedGraph,
     _label_key,
@@ -60,9 +60,10 @@ def test_csv4_header_may_follow_comments_but_not_a_record(tmp_path):
 
 
 def test_format_defaults_to_csv4_for_a_csv_file_only(tmp_path):
-    csv = tmp_path / "g.csv"
-    csv.write_text("SOURCE,TARGET,RATING,TIME\n7,2,4,1289241911\n")
-    assert load_edge_list(csv).weight.tolist() == [4.0]
+    for name in ("g.csv", "g.CSV", "g.Csv"):  # the suffix in any case
+        csv = tmp_path / name
+        csv.write_text("SOURCE,TARGET,RATING,TIME\n7,2,4,1289241911\n")
+        assert load_edge_list(csv).weight.tolist() == [4.0]
     tsv = tmp_path / "g.tsv"
     tsv.write_text("src\tdst\tweight\n7\t2\t4\n")
     with pytest.raises(GraphParseError, match="bad weight 'weight'"):
@@ -95,7 +96,7 @@ def loop_load_edge_list(path, fmt=None, symmetrize=False):
     """Reference loader: one (src, dst, weight) tuple per record, labels indexed
     by a list comprehension, np.isfinite on each weight."""
     if fmt is None:
-        fmt = "csv4" if str(path).endswith(".csv") else "tsv3"
+        fmt = "csv4" if str(path).lower().endswith(".csv") else "tsv3"
     raw = []
     first_record = True
     try:
@@ -385,6 +386,18 @@ def test_normalize_preserves_sign_and_ratios():
     ratio = g.weight[0] / g.weight[1]
     ratio_n = gn.weight[0] / gn.weight[1]
     assert abs(ratio - ratio_n) <= 1e-12 * abs(ratio)
+
+
+# a subnormal weight, and a range wider than float64 can scale: both round to 0
+@pytest.mark.parametrize("weights, scale", [([5e-324, -2.0, 1.0], "2.0"),
+                                            ([1e-300, -1e300, 1.0], "1e+300")],
+                         ids=["subnormal", "range"])
+@pytest.mark.parametrize("mode", ["signed_unit", "unit_abs"])
+def test_normalize_rejects_a_weight_that_rounds_to_zero(weights, scale, mode):
+    g = SignedWeightedGraph.from_edges(3, [0, 1, 2], [1, 2, 0], weights)
+    with pytest.raises(DegenerateTaskError,
+                       match=f"^1 of 3 edge weights round to 0 .*, {re.escape(scale)}$"):
+        normalize_weights(g, mode)
 
 
 def test_split_counts_and_disjointness():

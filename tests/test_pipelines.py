@@ -135,7 +135,7 @@ def watch_sweeps(monkeypatch, check):
 def test_each_loss_graph_is_freed_before_the_next_forward(monkeypatch, task):
     """Each chunk's head graph is freed before the next chunk's head runs, and
     every graph of a loss before the next loss's forward."""
-    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 5)
+    monkeypatch.setattr(ad, "_CHUNK_ROWS", 5)
     score, embeddings = pipelines.PairHead.__call__, TaskModel.embeddings
     chunks, losses, sweeps = [], [], []
 
@@ -262,7 +262,7 @@ def test_no_head_activation_wider_than_a_chunk_in_a_swept_graph(monkeypatch, tas
     """With chunks of 4 pairs, no head_hidden-wide activation of a swept graph
     has more than 4 rows, apart from the node rows each head computes once.
     The first layer's weight blocks are embed = 3 rows high."""
-    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 4)
+    monkeypatch.setattr(ad, "_CHUNK_ROWS", 4)
     offenders = []
 
     def check(model, output):
@@ -288,7 +288,7 @@ def test_a_swept_chunk_keeps_one_hidden_array_per_head_layer(monkeypatch, task):
     GNN, holds no array of one row per edge and self-loop wider than a
     head's logits; with recompute patched to a plain call it holds each
     head's attention_hidden-wide gather_sum, so that check can fail."""
-    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 4)
+    monkeypatch.setattr(ad, "_CHUNK_ROWS", 4)
 
     def sweeps(patch):
         chunks, last = [], []
@@ -326,7 +326,7 @@ def test_a_chunk_frees_its_activations_as_its_sweep_passes_them(monkeypatch, tas
     array of the second layer's output is already unreachable: the sweep lets
     go of each node it has passed. With every node of each swept graph held
     in a list, it is still alive there, so the check can fail."""
-    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 4)
+    monkeypatch.setattr(ad, "_CHUNK_ROWS", 4)
     score = pipelines.PairHead.__call__
 
     def freed(patch, keep):
@@ -410,7 +410,7 @@ def test_one_epoch_changes_every_gnn_parameter(monkeypatch, projection):
 def loss_and_gradients(monkeypatch, task, chunk_rows):
     """The train-batch loss, its parameter gradients and the validation loss of
     a fresh two-head model on a toy graph: through _pair_loss with
-    _PAIR_CHUNK_ROWS = chunk_rows, and through one graph over every pair."""
+    autodiff._CHUNK_ROWS = chunk_rows, and through one graph over every pair."""
     captured = []
 
     class Captured(Exception):
@@ -425,9 +425,9 @@ def loss_and_gradients(monkeypatch, task, chunk_rows):
         train(task, random_graph(np.random.default_rng(4), 12, 0.35),
               tiny_config(layers=2, heads=2, head_hidden=9))
     model, train_terms, val_terms = captured[0]
-    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(ad, "_CHUNK_ROWS", chunk_rows)
     loss = pipelines._pair_loss(model, train_terms, sweep=True)
-    chunked = (loss, [p.grad for p in model.tape.parameter_list()],
+    chunked = (loss, [p.grad for p in model.tape.params.values()],
                pipelines._pair_loss(model, val_terms, sweep=False))
 
     def one_graph(terms):
@@ -439,7 +439,7 @@ def loss_and_gradients(monkeypatch, task, chunk_rows):
     model.tape.reset()
     loss = one_graph(train_terms)
     ad.backward(loss)
-    whole = (float(loss.values), [p.grad for p in model.tape.parameter_list()],
+    whole = (float(loss.values), [p.grad for p in model.tape.params.values()],
              float(one_graph(val_terms).values))
     return chunked, whole, len(train_terms[0][1])
 
@@ -486,7 +486,7 @@ def test_chunked_evaluate_matches_one_chunk_and_computes_rows_once(monkeypatch, 
     monkeypatch.setattr(pipelines.PairHead, "rows", watched_rows)
     whole = evaluate(model, split, task)
     assert len(calls) == heads
-    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 5)
+    monkeypatch.setattr(ad, "_CHUNK_ROWS", 5)
     assert len(split.test_pos) > 5  # several chunks of every head
     assert evaluate(model, split, task) == whole
     assert len(calls) == 2 * heads
@@ -627,9 +627,9 @@ def test_early_stopping_restores_the_parameters_of_the_best_validation_loss(monk
 def test_a_swept_loss_gives_the_same_gradients_over_stale_ones(monkeypatch, task):
     """Gradients left on every parameter, as by an earlier loss with no step
     between, do not reach those a swept _pair_loss gives."""
-    monkeypatch.setattr(pipelines, "_PAIR_CHUNK_ROWS", 5)
+    monkeypatch.setattr(ad, "_CHUNK_ROWS", 5)
     _, (model, train_terms, _) = captured_term_lists(monkeypatch, task, 0.1)
-    params = model.tape.parameter_list()
+    params = model.tape.params.values()
     pipelines._pair_loss(model, train_terms, sweep=True)
     clean = [p.grad for p in params]
     model.tape.reset()
@@ -663,7 +663,7 @@ def captured_term_lists(monkeypatch, task, val_fraction):
 
     monkeypatch.setattr(pipelines, "split_edges", watched_split)
     monkeypatch.setattr(pipelines, "_train_loop",
-                        lambda *args: captured.append(args[:3]) or (0, []))
+                        lambda *args: captured.append(args[:3]) or [])
     train(task, random_graph(np.random.default_rng(4), 12, 0.35),
           tiny_config(val_fraction=val_fraction))
     return splits[0], captured[0]
