@@ -4,7 +4,8 @@
 gradient, for NaN/Inf (NumericFault); an op with an activation epilogue
 checks its pre-activation instead, since the activations map finite values
 to finite values. After backward() only leaf tensors keep .grad, which is
-never written in place.
+never written in place; an activation's backward does write its gradient
+over the activation's own output (see below).
 
 A sweep frees the graph as it passes it. It moves each node's gradient into
 the node's backward, which holds the only reference to it, and a node whose
@@ -36,8 +37,12 @@ and would hide an overflow), not its output again, then applies the
 activation in place, keeping only its output and, for leaky_relu, a boolean
 mask of the negative entries.
 Backward multiplies g by the derivative once, then runs the op's own
-gradients. The standalone tanh and leaky_relu run the same two functions
-(_ACTIVATIONS) on a copy of their input, so both give the same bits.
+gradients. It writes that product over the node's output array, whose
+readers' backwards have all run by then, so no second array of its size is
+made: after a sweep, an activation node's .values hold its gradient, not its
+output. The standalone tanh and leaky_relu run the same two functions
+(_ACTIVATIONS) on a copy of their input, so both give the same bits, and
+each owns the array it overwrites.
 
 recompute(fn, *inputs) is gradient checkpointing: fn(*inputs) as one node
 that keeps only its inputs and its output, and runs fn again in backward to
@@ -104,10 +109,10 @@ def _tanh_(x):
 
 
 def _tanh_grad(g, out, _):
-    d = out * out
-    np.subtract(1.0, d, out=d)
-    d *= g
-    return d
+    np.multiply(out, out, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= g
+    return out
 
 
 def _leaky_relu_(x):
@@ -125,12 +130,18 @@ _LEAKY_SLOPES = np.array([1.0, 0.2])
 
 
 def _leaky_relu_grad(g, out, negative):
-    return g * _LEAKY_SLOPES[negative.view(np.uint8)]
+    # the slopes are taken straight into the output's buffer; mode="clip"
+    # (the bytes are 0 or 1, so nothing is clipped) because the default,
+    # "raise", takes them through a temporary as large as out
+    np.take(_LEAKY_SLOPES, negative.view(np.uint8), out=out, mode="clip")
+    out *= g
+    return out
 
 
 # activation name -> (apply in place to x, returning what the derivative
 # needs besides the output; g times the derivative, from g, the output and
-# that). The standalone ops and the fused epilogues both run these.
+# that, written over the output and returned). The standalone ops and the
+# fused epilogues both run these.
 _ACTIVATIONS = {
     "tanh": (_tanh_, _tanh_grad),
     "leaky_relu": (_leaky_relu_, _leaky_relu_grad),
@@ -144,7 +155,9 @@ def _node(values, op, *grads, act=None):
 
     With act, a key of _ACTIVATIONS, values is checked for non-finite entries
     and then overwritten by its activation; backward multiplies g by the
-    activation's derivative once, before the fns run."""
+    activation's derivative once, before the fns run, and writes the product
+    over values: the node must own values, and its consumers' backwards, the
+    only readers of the output, have run by then."""
     if act is not None:
         forward, grad = _ACTIVATIONS[act]
         _check_finite(values, op)
@@ -243,7 +256,8 @@ def _unary(a, fwd, deriv, op):
 
 
 def _activation_node(a, act):
-    """The activation act alone: the epilogue of linear and gather_sum, on a copy of a."""
+    """The activation act alone: the epilogue of linear and gather_sum, on a copy
+    of a, which the node owns and its backward overwrites."""
     a = _as_tensor(a)
     return _node(a.values.copy(), act, (a, lambda g: g), act=act)
 

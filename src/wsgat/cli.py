@@ -108,8 +108,9 @@ def cmd_train(args):
     cfg = dataclasses.replace(parse_config(args.config), seed=args.seed)
     g = load_edge_list(args.graph, fmt=args.format)
     dataset = os.path.splitext(os.path.basename(args.graph))[0]
-    model, report = train(args.task, g, cfg, dataset=dataset)
+    # before training, so an --out that cannot be a directory fails at once
     os.makedirs(args.out, exist_ok=True)
+    model, report = train(args.task, g, cfg, dataset=dataset)
     ckpt = os.path.join(args.out, f"{dataset}_{args.task}_seed{args.seed}.ckpt")
     checkpoint.save_arrays(ckpt, model.parameter_arrays())
     report_path = os.path.join(args.out, "reports.jsonl")
@@ -145,6 +146,8 @@ def cmd_reproduce(args):
         raise FileNotFoundError(f"missing ingested datasets {', '.join(missing)}; "
                                 "run `wsgat ingest <raw file> --out <data dir>` first")
     cfg = parse_config(args.config)
+    # before training, so an --out that cannot be a directory fails at once
+    os.makedirs(args.out, exist_ok=True)
     rows = ["dataset,auc_mean,auc_std,f1_mean,f1_std,mae_mean,mae_std"]
     for ds, path in zip(datasets, paths):
         g = load_edge_list(path)
@@ -156,7 +159,6 @@ def cmd_reproduce(args):
         rows.append(ds + "".join(f",{np.mean(c):.4f},{np.std(c):.4f}" if c else ",nan,nan"
                                  for c in columns))
     # written before anything is printed, so a closed stdout cannot lose the table
-    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"table{args.table}.csv")
     with open(out_path, "w", encoding="utf-8") as f:
         f.write("\n".join(rows) + "\n")

@@ -444,15 +444,21 @@ def case_digest(task, g, config):
 
 
 def parity_cases():
-    """The 24 (name, task, graph, config) cases of the parity grid: a 60-node
-    and a 400-node / ~3,000-edge random graph x the three tasks x val_fraction
-    0.1 and 0 x (epochs, patience) (25, 25) and (60, 3), with two heads."""
+    """The 26 (name, task, graph, config) cases of the parity grid, all with two
+    heads: a 60-node and a 400-node / ~3,000-edge random graph x the three
+    tasks x val_fraction 0.1 and 0 x (epochs, patience) (25, 25) and (60, 3),
+    with the default GNN activation; then the 60-node graph's sign task at
+    val_fraction 0.1 and (25, 25) with each of the standalone autodiff
+    activations, tanh and leaky_relu, as the GNN activation."""
     graphs = {"g60": random_graph(np.random.default_rng(60), 60),
               "g400": random_graph(np.random.default_rng(400), 400, 3000 / (400 * 399))}
-    return [(f"{name}-{task}-val{val}-e{epochs}p{patience}", task, g,
-             TrainConfig(heads=2, val_fraction=val, epochs=epochs, patience=patience))
-            for name, g in graphs.items() for task in pipelines.TASKS for val in (0.1, 0.0)
-            for epochs, patience in ((25, 25), (60, 3))]
+    return ([(f"{name}-{task}-val{val}-e{epochs}p{patience}", task, g,
+              TrainConfig(heads=2, val_fraction=val, epochs=epochs, patience=patience))
+             for name, g in graphs.items() for task in pipelines.TASKS for val in (0.1, 0.0)
+             for epochs, patience in ((25, 25), (60, 3))]
+            + [(f"g60-sign-val0.1-e25p25-{act}", "sign", graphs["g60"],
+                TrainConfig(heads=2, epochs=25, patience=25, activation=act))
+               for act in ("tanh", "leaky_relu")])
 
 
 def parity(cases):

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -425,8 +426,64 @@ def test_leaky_relu_gives_the_bits_of_scaling_the_negative_entries():
     negative = forward(out)
     assert np.array_equal(negative, x < 0)
     assert out.tobytes() == scaled(x, x < 0).tobytes()
-    assert grad(g, out, negative).tobytes() == scaled(g, x < 0).tobytes()
-    assert grad(g, out, negative).tobytes() == (g * np.where(x < 0, 0.2, 1.0)).tobytes()
+    # the derivative is written over the output it is given, so each call gets a copy
+    assert grad(g, out.copy(), negative).tobytes() == scaled(g, x < 0).tobytes()
+    assert grad(g, out.copy(), negative).tobytes() == (g * np.where(x < 0, 0.2, 1.0)).tobytes()
+
+
+def test_tanh_derivative_gives_the_bits_of_one_minus_the_square_times_g():
+    """g times tanh's derivative, written over the output, gives the bits of
+    (1 - out * out) * g computed on copies: at both zeros, the subnormals, +-1,
+    the saturated outputs just below 1 in magnitude and a large g too."""
+    rng = np.random.default_rng(1)
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0,
+            np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0), np.tanh(19.0), np.tanh(-0.5)]
+    out = np.concatenate([np.tanh(rng.standard_normal(3000) * 10.0 ** rng.integers(-5, 3, 3000)),
+                          edge, edge]).reshape(-1, 4)
+    g = np.concatenate([rng.standard_normal(3000) * 10.0 ** rng.integers(-300, 300, 3000),
+                        [1.0] * len(edge), [1.7976931348623157e308, -1e300, 5e-324] * 4])
+    g = g.reshape(-1, 4)
+    expected = (1.0 - out * out) * g
+    _, grad = ad._ACTIVATIONS["tanh"]
+    buf, g_before = out.copy(), g.copy()  # grad overwrites the copy of out
+    result = grad(g, buf, None)
+    assert result is buf
+    assert result.tobytes() == expected.tobytes()
+    assert g.tobytes() == g_before.tobytes()
+
+
+@pytest.mark.parametrize("act", ["tanh", "leaky_relu"])
+def test_an_activation_backward_reuses_its_output_buffer(act):
+    """The standalone activation's backward writes the input's gradient over
+    the activation's output array instead of allocating a new one."""
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.standard_normal((7, 5)), requires_grad=True)
+    y = getattr(ad, act)(x)
+    buf = y.values
+    ad.backward(ad.sum_(ad.mul(y, rng.standard_normal((7, 5)))))
+    assert np.shares_memory(x.grad, buf)
+
+
+@pytest.mark.parametrize("act", ["tanh", "leaky_relu"])
+def test_a_fused_activation_backward_allocates_no_array_of_its_output_size(act):
+    """The backward of one linear(..., act) node keeps no array of its output's
+    size besides its parents' gradients: with x twice as wide as the output,
+    its peak traced memory is those gradients alone. (leaky_relu's np.take
+    makes an int64 copy of its mask, as large as the output, but frees it
+    before the parents' gradients are made.)"""
+    rng = np.random.default_rng(3)
+    x, w, b = (Tensor(v, requires_grad=True) for v in
+               (rng.standard_normal((4096, 128)), rng.standard_normal((128, 64)), np.zeros(64)))
+    y = ad.linear(x, w, b, act=act)
+    g = rng.standard_normal(y.shape)
+    tracemalloc.start()
+    try:
+        y._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    parent_grads = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes
+    assert peak - parent_grads < y.values.nbytes // 4
 
 
 @pytest.mark.parametrize("seed", range(3))

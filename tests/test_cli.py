@@ -247,6 +247,27 @@ def test_reproduce_missing_dataset_message(tmp_path, capsys):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["train", "reproduce"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_an_out_that_cannot_be_a_directory_exits_2_before_training(
+        toy_tsv, table4_data, tiny_cfg, tmp_path, monkeypatch, capsys, command, below):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if below else afile
+
+    def no_training(*args, **kwargs):
+        pytest.fail("train was called although --out cannot be made")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    argv = (["train", "sign", toy_tsv] if command == "train"
+            else ["reproduce", "4", "--data", str(table4_data), "--seeds", "1"])
+    assert main(argv + ["--config", tiny_cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(afile) in err
+    assert len(err.strip().splitlines()) == 1
+    assert afile.read_text() == "kept\n"
+
+
 def test_reproduce_on_toy_datasets(table4_data, tmp_path, tiny_cfg, capsys):
     rc = main(["reproduce", "4", "--data", str(table4_data), "--seeds", "1",
                "--config", tiny_cfg, "--out", str(tmp_path / "o")])
