@@ -47,11 +47,11 @@ each owns the array it overwrites.
 recompute(fn, *inputs) is gradient checkpointing: fn(*inputs) as one node
 that keeps only its inputs and its output, and runs fn again in backward to
 sweep the graph it dropped, through the private _sweep that backward() also
-runs. A graph layer keeps no edge-wide array between forward and backward
-that way. relay(value, inputs, leaves) is the root of a loss swept in parts
-on leaf copies of `inputs`: a scalar whose backward moves each leaf's
-gathered gradient to its input. Both hand the gradients on through one
-private helper, _leaf_grads.
+runs. A wsGAT layer is one such node, so between forward and backward it
+keeps only its input and its output. relay(value, inputs, leaves) is the
+root of a loss swept in parts on leaf copies of `inputs`: a scalar whose
+backward moves each leaf's gathered gradient to its input. Both hand the
+gradients on through one private helper, _leaf_grads.
 
 Row scatters (segment_sum forward, take_rows and gather_sum backward) are one
 sparse incidence-matrix product, and propagate's forward and z gradient one
@@ -130,10 +130,15 @@ _LEAKY_SLOPES = np.array([1.0, 0.2])
 
 
 def _leaky_relu_grad(g, out, negative):
-    # the slopes are taken straight into the output's buffer; mode="clip"
-    # (the bytes are 0 or 1, so nothing is clipped) because the default,
-    # "raise", takes them through a temporary as large as out
-    np.take(_LEAKY_SLOPES, negative.view(np.uint8), out=out, mode="clip")
+    # the slopes are taken straight into the output's buffer, _CHUNK_ROWS rows
+    # at a time: np.take makes an int64 copy of the mask it indexes by, which
+    # is then a chunk's size, not the output's. mode="clip" (the bytes are 0
+    # or 1, so nothing is clipped) because the default, "raise", takes them
+    # through a temporary as large as its out
+    slopes, mask = np.atleast_1d(out, negative.view(np.uint8))
+    for lo in range(0, len(slopes), _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        np.take(_LEAKY_SLOPES, mask[rows], out=slopes[rows], mode="clip")
     out *= g
     return out
 
@@ -422,9 +427,10 @@ def segment_sum(a, segments, num_segments):
                  (a, lambda g: g[segments]))
 
 
-# rows per chunk of propagate's alpha gradient (edges) and of a pair head
-# (pairs, pipelines._head_chunks): a chunk's transients then take 16384 x width
-# floats, however many edges or pairs there are
+# rows per chunk of propagate's alpha gradient (edges), of leaky_relu's
+# derivative and of a pair head (pairs, pipelines._head_chunks): a chunk's
+# transients then take 16384 x width floats, however many edges or pairs there
+# are
 _CHUNK_ROWS = 16384
 
 

@@ -7,11 +7,11 @@ their magnitudes sum to 1 per node. Aggregation is one sparse product,
 autodiff.propagate: each destination's row is the coefficient-weighted sum of
 the (optionally projected) source embeddings, with no per-edge message matrix.
 
-Between forward and backward a layer keeps no array with one row per edge
-and self-loop but each head's (E+N, 1) logits. The attention MLP's pair
-stage, and each head's softmax, projection and propagate, are
-autodiff.recompute nodes: backward runs them again, from the node rows and
-from (H, logits) respectively, over the edge arrays the forward computed.
+A layer's forward is one autodiff.recompute node over its input H, so
+between forward and backward it keeps only H and its output. Backward runs
+the whole layer again, over the edge arrays the forward fetched: per head
+the attention MLP (its node rows, then its pair stage), the signed softmax,
+the projection and propagate, then the head merge and the activation.
 
 Mlp, which scores the edges here and the node pairs in the prediction heads,
 runs in two stages and never builds the pair matrix: Mlp.rows(H) runs its
@@ -133,15 +133,23 @@ class WsGatLayer:
         w = np.concatenate([g.weight, np.full(g.num_nodes, self.self_loop_weight)])
         return src, dst, w
 
-    def attention_logits(self, head, H, g):
-        """One logit per edge and self-loop: MLP(h_dst || h_src || w)."""
-        if H.shape[0] != g.num_nodes:
-            raise ShapeError("feature row count must equal num_nodes")
+    def _scorer(self, head, g):
+        """The attention logits of ``head`` as a function of the node rows H:
+        one per edge and self-loop of g, MLP(h_dst || h_src || w), (E+N, 1).
+        It closes over the edge arrays fetched here."""
         src, dst, w = self.edge_arrays(g)
         mlp, extra = self.att[head], Tensor(w[:, None])
-        # the pair stage's (E+N)-row arrays are recomputed in backward, not kept
-        return ad.recompute(lambda *rows: mlp.over_pairs(rows, dst, src, extra),
-                            *mlp.rows(H))  # (E+N, 1)
+        return lambda H: mlp.over_pairs(mlp.rows(H), dst, src, extra)
+
+    @staticmethod
+    def _check_rows(H, g):
+        if H.shape[0] != g.num_nodes:
+            raise ShapeError("feature row count must equal num_nodes")
+
+    def attention_logits(self, head, H, g):
+        """One logit per edge and self-loop: MLP(h_dst || h_src || w)."""
+        self._check_rows(H, g)
+        return self._scorer(head, g)(H)
 
     def attention_coefficients(self, head, logits, g):
         """Signed softmax per destination node of the edges' logit column."""
@@ -149,23 +157,26 @@ class WsGatLayer:
         return ad.segment_signed_softmax(ad.squeeze_col(logits), dst, g.num_nodes)
 
     def forward(self, H, g):
+        self._check_rows(H, g)
         src, dst, _ = self.edge_arrays(g)
+        scorers = [self._scorer(k, g) for k in range(self.heads)]
 
-        def head(k, H, logits):
-            alpha = ad.segment_signed_softmax(ad.squeeze_col(logits), dst, g.num_nodes)
-            z = ad.matmul(H, self.w_out[k]) if self.projection else H
-            return ad.propagate(z, alpha, src, dst, g.num_nodes)
+        def layer(H):
+            outs = []
+            for k, score in enumerate(scorers):
+                alpha = ad.segment_signed_softmax(ad.squeeze_col(score(H)), dst, g.num_nodes)
+                z = ad.matmul(H, self.w_out[k]) if self.projection else H
+                outs.append(ad.propagate(z, alpha, src, dst, g.num_nodes))
+            if self.heads == 1:
+                merged = outs[0]
+            elif self.head_merge == "concat":
+                merged = ad.concat(outs, axis=1)
+            else:
+                merged = ad.mul(functools.reduce(ad.add, outs), 1.0 / self.heads)
+            return self.f(merged)
 
-        # each head's (E+N)-row coefficients are recomputed in backward, not kept
-        outs = [ad.recompute(functools.partial(head, k), H, self.attention_logits(k, H, g))
-                for k in range(self.heads)]
-        if self.heads == 1:
-            merged = outs[0]
-        elif self.head_merge == "concat":
-            merged = ad.concat(outs, axis=1)
-        else:
-            merged = ad.mul(functools.reduce(ad.add, outs), 1.0 / self.heads)
-        return self.f(merged)
+        # the layer's graph, every (E+N)-row array in it, is rebuilt in backward
+        return ad.recompute(layer, H)
 
 
 class WsGatStack:

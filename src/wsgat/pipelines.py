@@ -18,7 +18,8 @@ autodiff._CHUNK_ROWS pairs (_head_chunks), so a head's activations take
 chunk-sized memory, not pair-count-sized. A training loss runs the chunks on
 leaf copies of the rows and sweeps each backward at once; one last sweep, from
 an autodiff.relay node, carries the gradients the leaves gathered through the
-rows and the GNN.
+rows and the GNN. Each row is freed there once it has passed its gradient on,
+before the GNN's layers, each one autodiff.recompute node, run again.
 """
 
 from __future__ import annotations
@@ -276,19 +277,18 @@ def _pair_loss(model, terms, sweep):
     and is swept backward and freed before the next, so the leaves and the head
     weights gather the chunks' gradients. A last sweep, from an autodiff.relay
     node that moves each leaf's gradient to its row, carries them through the
-    rows and the GNN and frees each once its row has passed it on.
+    rows and the GNN and frees each once its row has passed it on; the rows
+    themselves are freed then too, before the GNN's layers run again.
     """
     if sweep:
         model.tape.reset()
     emb = model.embeddings()
     rows, leaves, total = [], [], 0.0
     for head, pairs, targets, loss, weight in terms:
-        head_rows = head.rows(emb)
+        rows += head.rows(emb)  # the pair (H W_a + b0, H W_b)
         # the rows' nodes have checked these values already
-        head_leaves = [Tensor(r.values, requires_grad=True, check=False) for r in head_rows]
-        rows += head_rows
-        leaves += head_leaves
-        for part, out in _head_chunks(head, head_leaves, pairs):
+        leaves += [Tensor(r.values, requires_grad=True, check=False) for r in rows[-2:]]
+        for part, out in _head_chunks(head, leaves[-2:], pairs):
             chunk = ad.mul(loss(out, targets[part]), weight * (len(out.values) / len(pairs)))
             if sweep:
                 ad.backward(chunk)
@@ -297,7 +297,11 @@ def _pair_loss(model, terms, sweep):
     if sweep:
         # rows and leaves in term order, each head's first row before its
         # second: the order in which one graph over all pairs adds their gradients
-        ad.backward(ad.relay(total, rows, leaves))
+        root = ad.relay(total, rows, leaves)
+        # the relay node is then the rows' only holder, so the sweep frees each
+        # row once it has passed its gradient on, before the GNN's layers rerun
+        del rows, leaves
+        ad.backward(root)
     return total
 
 

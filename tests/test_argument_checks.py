@@ -41,6 +41,9 @@ CHECKS = [
     ("attention rows", lambda: WsGatLayer(Tape(seed=0), "gnn0", 3, 4, TrainConfig())
      .attention_logits(0, Tensor(np.ones((5, 3))), GRAPH), ShapeError,
      "feature row count must equal num_nodes"),
+    ("layer rows", lambda: WsGatLayer(Tape(seed=0), "gnn0", 3, 4, TrainConfig())
+     .forward(Tensor(np.ones((5, 3))), GRAPH), ShapeError,
+     "feature row count must equal num_nodes"),
     ("matmul of mismatched shapes", lambda: ad.matmul(Tensor(np.ones((2, 3))),
                                                       Tensor(np.ones((2, 3)))),
      ShapeError, "matmul: incompatible shapes (2, 3) and (2, 3)"),

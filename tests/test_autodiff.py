@@ -405,10 +405,11 @@ def test_activation_epilogue_gives_the_bits_of_the_standalone_activation(op, act
         assert x.grad.tolist() == [1.0, 1.0, 0.2]
 
 
-def test_leaky_relu_gives_the_bits_of_scaling_the_negative_entries():
+def test_leaky_relu_gives_the_bits_of_scaling_the_negative_entries(monkeypatch):
     """The forward max(x, 0.2 x) and the derivative g * slope[x < 0] give the
     bits of multiplying by 0.2 only where x < 0, and the derivative those of
-    g * where(x < 0, 0.2, 1), at both zeros, the subnormals and the extremes too."""
+    g * where(x < 0, 0.2, 1), at both zeros, the subnormals and the extremes too,
+    in one chunk of rows or in many, and for a 0-d array."""
     rng = np.random.default_rng(0)
     edge = [0.0, -0.0, 5e-324, -5e-324, -1e-323, 2.5e-323, -2.2250738585072014e-308,
             1.0, -1.0, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -427,8 +428,12 @@ def test_leaky_relu_gives_the_bits_of_scaling_the_negative_entries():
     assert np.array_equal(negative, x < 0)
     assert out.tobytes() == scaled(x, x < 0).tobytes()
     # the derivative is written over the output it is given, so each call gets a copy
-    assert grad(g, out.copy(), negative).tobytes() == scaled(g, x < 0).tobytes()
-    assert grad(g, out.copy(), negative).tobytes() == (g * np.where(x < 0, 0.2, 1.0)).tobytes()
+    for chunk_rows in (16384, 7):
+        monkeypatch.setattr(ad, "_CHUNK_ROWS", chunk_rows)
+        assert grad(g, out.copy(), negative).tobytes() == scaled(g, x < 0).tobytes()
+        assert grad(g, out.copy(), negative).tobytes() == (g * np.where(x < 0, 0.2, 1.0)).tobytes()
+    scalar = np.array(-3.0)
+    assert grad(np.array(2.0), scalar, forward(scalar)).tolist() == 0.4
 
 
 def test_tanh_derivative_gives_the_bits_of_one_minus_the_square_times_g():
@@ -468,13 +473,32 @@ def test_an_activation_backward_reuses_its_output_buffer(act):
 def test_a_fused_activation_backward_allocates_no_array_of_its_output_size(act):
     """The backward of one linear(..., act) node keeps no array of its output's
     size besides its parents' gradients: with x twice as wide as the output,
-    its peak traced memory is those gradients alone. (leaky_relu's np.take
-    makes an int64 copy of its mask, as large as the output, but frees it
-    before the parents' gradients are made.)"""
+    its peak traced memory is those gradients alone."""
     rng = np.random.default_rng(3)
     x, w, b = (Tensor(v, requires_grad=True) for v in
                (rng.standard_normal((4096, 128)), rng.standard_normal((128, 64)), np.zeros(64)))
     y = ad.linear(x, w, b, act=act)
+    g = rng.standard_normal(y.shape)
+    tracemalloc.start()
+    try:
+        y._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    parent_grads = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes
+    assert peak - parent_grads < y.values.nbytes // 4
+
+
+def test_leaky_relu_backward_takes_its_slopes_a_chunk_of_rows_at_a_time(monkeypatch):
+    """A leaky_relu backward whose output is its largest array, a narrow x
+    into 64 columns, allocates less than a quarter of the output beyond its
+    parents' gradients: np.take's int64 copy of the mask covers one chunk of
+    rows, not the whole output."""
+    monkeypatch.setattr(ad, "_CHUNK_ROWS", 512)
+    rng = np.random.default_rng(4)
+    x, w, b = (Tensor(v, requires_grad=True) for v in
+               (rng.standard_normal((4096, 4)), rng.standard_normal((4, 64)), np.zeros(64)))
+    y = ad.linear(x, w, b, act="leaky_relu")
     g = rng.standard_normal(y.shape)
     tracemalloc.start()
     try:

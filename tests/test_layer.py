@@ -5,7 +5,7 @@ import wsgat.autodiff as ad
 from wsgat.autodiff import Tensor, Tape
 from wsgat.errors import ShapeError
 from wsgat.graph import SignedWeightedGraph
-from wsgat.layer import Mlp, WsGatLayer, WsGatStack, pair_features
+from wsgat.layer import ACTIVATIONS, Mlp, WsGatLayer, WsGatStack, pair_features
 from wsgat.pipelines import TaskModel, TrainConfig
 from wsgat.verify import dense_layer_reference, dense_mlp_reference, random_graph
 
@@ -71,25 +71,59 @@ def test_attention_mlp_matches_the_dense_mlp_over_pair_features(seed):
         assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
+def plain_recompute(fn, *inputs):
+    return fn(*inputs)
+
+
 @pytest.mark.parametrize("heads", [1, 2])
-def test_forward_keeps_no_edge_wide_array_but_the_logits(monkeypatch, heads):
-    """The only node of a layer's graph with one row per edge and self-loop is
-    each head's (E+N, 1) logits, a recompute node: the attention MLP's
-    attention_hidden-wide array, the coefficients and the messages are rebuilt
-    in backward. With recompute patched to a plain call they are kept, among
-    them one (E+N, attention_hidden) gather_sum per head: the check can fail."""
+def test_forward_keeps_only_its_input_and_its_output(monkeypatch, heads):
+    """The graph a layer's forward leaves is one recompute node over H: no
+    node with one row per edge and self-loop, no head's output, no merge and
+    no activation input. With recompute patched to a plain call the layer's
+    graph is kept, among it one (E+N, attention_hidden) gather_sum and one
+    propagate per head: the check can fail."""
     g = random_graph(np.random.default_rng(0), 9, 0.4)
     layer = make_layer(in_width=4, out_width=3, heads=heads, attention_hidden=7)
-    H = Tensor(np.random.default_rng(1).standard_normal((9, 4)))
+    H = Tensor(np.random.default_rng(1).standard_normal((9, 4)), requires_grad=True)
+    out = layer.forward(H, g)
+    assert out.op == "recompute" and out.parents == (H,)
+    assert [id(t) for t in ad.topo_order(out)] == [id(H), id(out)]
+    monkeypatch.setattr(ad, "recompute", plain_recompute)
+    ops = [(t.op, t.shape) for t in ad.topo_order(layer.forward(H, g))]
     edge_rows = g.num_edges + g.num_nodes
+    assert ops.count(("gather_sum", (edge_rows, 7))) == heads
+    assert ops.count(("propagate", (9, 3))) == heads
 
-    def edge_wide():
-        nodes = ad.topo_order(ad.sum_(layer.forward(H, g)))
-        return [(t.op, t.shape[1:]) for t in nodes if t.shape[:1] == (edge_rows,)]
 
-    assert edge_wide() == [("recompute", (1,))] * heads
-    monkeypatch.setattr(ad, "recompute", lambda fn, *xs: fn(*xs))
-    assert edge_wide().count(("gather_sum", (7,))) == heads
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("projection", [True, False])
+@pytest.mark.parametrize("heads,merge", [(1, "concat"), (2, "concat"), (2, "mean")])
+def test_a_recomputed_layer_gives_the_bits_of_its_plain_graph(monkeypatch, heads, merge,
+                                                               projection, activation):
+    """Forward and backward through the layer's one recompute node give the
+    output, every parameter's gradient and H's gradient of the same layer
+    with recompute patched to a plain call, to the bit."""
+    g = random_graph(np.random.default_rng(heads), 9, 0.4)
+    values = np.random.default_rng(2).standard_normal((9, 4))
+
+    def run():
+        tape = Tape(seed=3)
+        layer = WsGatLayer(tape, "l", 4, 3, TrainConfig(heads=heads, projection=projection,
+                                                        activation=activation,
+                                                        attention_hidden=5), merge)
+        for p in tape.params.values():  # biases start at zero, which would hide them
+            p.values = p.values + np.random.default_rng(4).standard_normal(p.shape)
+        H = Tensor(values, requires_grad=True)
+        out = layer.forward(H, g)
+        # read before backward, which writes an activation's gradient over its output
+        values_out = out.values.tobytes()
+        ad.backward(ad.sum_(ad.mul(out, np.random.default_rng(5).standard_normal(out.shape))))
+        return [values_out, H.grad.tobytes()] + [(name, p.grad.tobytes())
+                                                 for name, p in tape.params.items()]
+
+    recomputed = run()
+    monkeypatch.setattr(ad, "recompute", plain_recompute)
+    assert recomputed == run()
 
 
 def test_mlp_rows_reject_node_rows_that_do_not_fit_the_first_layer():

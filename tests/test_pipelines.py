@@ -358,6 +358,39 @@ def test_a_chunk_frees_its_activations_as_its_sweep_passes_them(monkeypatch, tas
     assert len(dead) > 3 and set(dead) == {True}
 
 
+@pytest.mark.parametrize("task", ["sign", "signed-weight"])
+def test_every_head_row_is_freed_before_the_first_layer_backward(monkeypatch, task):
+    """When the first wsGAT layer's backward runs, at the end of a training
+    loss's last sweep, every head's node rows, each Tensor and its array, are
+    unreachable: the sweep lets go of each row once it has passed its gradient
+    on, and the loss keeps no list of them or of their leaf copies."""
+    rows, forward = pipelines.PairHead.rows, layer.WsGatLayer.forward
+    refs, alive = [], []
+
+    def watched_rows(head, H):
+        out = rows(head, H)
+        refs.extend(weakref.ref(x) for r in out for x in (r, r.values))
+        return out
+
+    def watched_forward(lay, H, g):
+        out = forward(lay, H, g)
+        if not H.requires_grad:  # the first layer, whose input is the features
+            backward = out._backward
+
+            def watched_backward(grad):
+                alive.append((len(refs), sum(ref() is not None for ref in refs)))
+                backward(grad)
+
+            out._backward = watched_backward
+        return out
+
+    monkeypatch.setattr(pipelines.PairHead, "rows", watched_rows)
+    monkeypatch.setattr(layer.WsGatLayer, "forward", watched_forward)
+    train(task, random_graph(np.random.default_rng(4), 12, 0.35), tiny_config(layers=2, epochs=1))
+    # two rows per head, one head for sign and two for signed-weight
+    assert alive == [(4 if task == "sign" else 8, 0)]
+
+
 @pytest.mark.parametrize("task", ["sign", "weight", "signed-weight"])
 def test_last_sweep_keeps_no_node_rows_by_head_hidden_but_the_heads_rows(monkeypatch, task):
     """The last sweep of a training loss, through the node rows and the GNN,
