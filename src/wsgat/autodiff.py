@@ -57,7 +57,8 @@ Row scatters (segment_sum forward, take_rows and gather_sum backward) are one
 sparse incidence-matrix product, and propagate's forward and z gradient one
 sparse product with alpha in place of the ones. Each sums a row's terms in
 index order, starting from zero, so it gives the same bits as numpy.add.at.
-Their row indices must lie in [0, n); anything else raises ShapeError.
+Their row indices must be integers in [0, n); anything else, a boolean mask
+or a float array included, raises ShapeError.
 """
 
 from __future__ import annotations
@@ -104,6 +105,21 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+# rows per slice of chunks(n), the one chunk loop: of propagate's alpha
+# gradient (edges), of leaky_relu's derivative and of a pair head (pairs, in
+# pipelines): a chunk's transients then take 16384 x width floats, however
+# many edges or pairs there are
+_CHUNK_ROWS = 16384
+
+
+def chunks(n):
+    """The consecutive slices of at most _CHUNK_ROWS rows that cover range(n),
+    in order. _CHUNK_ROWS is read when chunks is called, so a patched value
+    holds for the slices it returns."""
+    k = _CHUNK_ROWS
+    return [slice(lo, min(lo + k, n)) for lo in range(0, n, k)]
+
+
 def _tanh_(x):
     np.tanh(x, out=x)
 
@@ -136,8 +152,7 @@ def _leaky_relu_grad(g, out, negative):
     # or 1, so nothing is clipped) because the default, "raise", takes them
     # through a temporary as large as its out
     slopes, mask = np.atleast_1d(out, negative.view(np.uint8))
-    for lo in range(0, len(slopes), _CHUNK_ROWS):
-        rows = slice(lo, lo + _CHUNK_ROWS)
+    for rows in chunks(len(slopes)):
         np.take(_LEAKY_SLOPES, mask[rows], out=slopes[rows], mode="clip")
     out *= g
     return out
@@ -351,8 +366,12 @@ def squeeze_col(a):
 
 
 def _row_index(idx, n, op):
-    """idx as int64, after checking that every entry is a row of an n-row array."""
-    idx = np.asarray(idx, dtype=np.int64)
+    """idx as int64, after checking that it holds integers (an empty list,
+    float64 to numpy, passes) and that each is a row of an n-row array."""
+    idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ShapeError(f"{op}: row indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(f"{op}: index out of range [0, {n}): min {idx.min()}, max {idx.max()}")
     return idx
@@ -427,13 +446,6 @@ def segment_sum(a, segments, num_segments):
                  (a, lambda g: g[segments]))
 
 
-# rows per chunk of propagate's alpha gradient (edges), of leaky_relu's
-# derivative and of a pair head (pairs, pipelines._head_chunks): a chunk's
-# transients then take 16384 x width floats, however many edges or pairs there
-# are
-_CHUNK_ROWS = 16384
-
-
 def propagate(z, alpha, src, dst, n):
     """Message passing: row i of the result is the sum of alpha[k] * z[src[k]]
     over k with dst[k] == i. The bits of
@@ -457,8 +469,7 @@ def propagate(z, alpha, src, dst, n):
 
     def dalpha(g):
         out = np.empty(len(src))
-        for lo in range(0, len(src), _CHUNK_ROWS):
-            rows = slice(lo, lo + _CHUNK_ROWS)
+        for rows in chunks(len(src)):
             products = g[dst[rows]]
             products *= z.values[src[rows]]
             out[rows] = products.sum(axis=1)

@@ -48,6 +48,10 @@ class SignedWeightedGraph:
         """The graph of the parallel edge arrays, checked. It stores read-only
         copies of them, so no write to the caller's arrays reaches it, and the
         caller's arrays stay writable."""
+        src, dst = np.asarray(src), np.asarray(dst)
+        if any(ids.size and ids.dtype.kind not in "iu" for ids in (src, dst)):
+            raise ValueError(f"node ids must be integers, got {src.dtype} sources "
+                             f"and {dst.dtype} destinations")
         src = np.array(src, dtype=np.int64)
         dst = np.array(dst, dtype=np.int64)
         weight = np.array(weight, dtype=np.float64)
@@ -90,9 +94,11 @@ class SignedWeightedGraph:
 def load_edge_list(path, fmt=None, symmetrize=False):
     """Parse an edge list file into a SignedWeightedGraph.
 
-    tsv3: "src<TAB>dst<TAB>weight" with '#' comment lines.
+    tsv3: "src<TAB>dst<TAB>weight".
     csv4: "SOURCE,TARGET,RATING,TIME" (TIME ignored). An optional header is
-    the first line that is neither blank nor a '#' comment.
+    the first line that is neither blank nor a comment.
+    In both, a line that starts with '#' or '%' (KONECT's ``out.*`` files) is
+    a comment.
     ``fmt=None`` reads a ``.csv`` file, in any case, as csv4 and any other
     file as tsv3.
 
@@ -112,7 +118,7 @@ def load_edge_list(path, fmt=None, symmetrize=False):
         with open(path, "r", encoding="utf-8-sig") as f:  # -sig: a leading BOM is dropped
             for lineno, line in enumerate(f, start=1):
                 line = line.strip()
-                if not line or line[0] == "#":
+                if not line or line[0] in "#%":
                     continue
                 is_header_line, header_allowed = header_allowed, False
                 if tsv3:
@@ -181,13 +187,13 @@ def _label_key(lab):
 def _tsv3_label_fault(label, is_source):
     """Why load_edge_list would not read ``label`` back from a tsv3 line, or None.
     Only a line's first field can be lost to the line's strip, read as a
-    comment or, on the file's first line, lose a leading BOM."""
+    comment ('#' or '%') or, on the file's first line, lose a leading BOM."""
     if any(c in label for c in "\t\r\n"):
         return "it holds a tab or a line break"
     if label != label.strip():
         return "it has leading or trailing whitespace"
-    if is_source and (not label or label.startswith(("#", "\ufeff"))):
-        return "a line cannot start with an empty label, '#' or a BOM"
+    if is_source and (not label or label.startswith(("#", "%", "\ufeff"))):
+        return "a line cannot start with an empty label, '#', '%' or a BOM"
     return None
 
 

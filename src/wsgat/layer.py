@@ -167,9 +167,8 @@ class WsGatLayer:
                 alpha = ad.segment_signed_softmax(ad.squeeze_col(score(H)), dst, g.num_nodes)
                 z = ad.matmul(H, self.w_out[k]) if self.projection else H
                 outs.append(ad.propagate(z, alpha, src, dst, g.num_nodes))
-            if self.heads == 1:
-                merged = outs[0]
-            elif self.head_merge == "concat":
+            # with one head: a concat of one part copies it, and * 1.0 is exact
+            if self.head_merge == "concat":
                 merged = ad.concat(outs, axis=1)
             else:
                 merged = ad.mul(functools.reduce(ad.add, outs), 1.0 / self.heads)

@@ -13,13 +13,13 @@ Task "signed-weight": same as "weight" with a tanh-bounded signed weight head
 on the signed_unit scale.
 
 Every loss and every evaluation computes the embeddings and each head's node
-rows (Mlp.rows) once, then runs the head's pair stage over chunks of at most
-autodiff._CHUNK_ROWS pairs (_head_chunks), so a head's activations take
-chunk-sized memory, not pair-count-sized. A training loss runs the chunks on
-leaf copies of the rows and sweeps each backward at once; one last sweep, from
-an autodiff.relay node, carries the gradients the leaves gathered through the
-rows and the GNN. Each row is freed there once it has passed its gradient on,
-before the GNN's layers, each one autodiff.recompute node, run again.
+rows (Mlp.rows) once, then runs the head's pair stage over the chunks of
+pairs autodiff.chunks gives, so a head's activations take chunk-sized memory,
+not pair-count-sized. A training loss runs the chunks on leaf copies of the
+rows and sweeps each backward at once; one last sweep, from an autodiff.relay
+node, carries the gradients the leaves gathered through the rows and the GNN.
+Each row is freed there once it has passed its gradient on, before the GNN's
+layers, each one autodiff.recompute node, run again.
 """
 
 from __future__ import annotations
@@ -256,15 +256,6 @@ def _val_slice(n, frac, rng):
     return perm[n_val:], perm[:n_val]
 
 
-def _head_chunks(head, rows, pairs):
-    """``(part, head(rows, s, d))`` for each slice ``part`` of at most
-    autodiff._CHUNK_ROWS of ``pairs``, ``s`` and ``d`` its two node columns.
-    The caller drops each output before asking for the next."""
-    for lo in range(0, len(pairs), ad._CHUNK_ROWS):
-        part = slice(lo, lo + ad._CHUNK_ROWS)
-        yield part, head(rows, pairs[part, 0], pairs[part, 1])
-
-
 def _pair_loss(model, terms, sweep):
     """The loss ``sum(weight * loss(head output, targets))`` over ``terms`` of
     (head, pairs, targets, loss, weight), as a float. With ``sweep``, every
@@ -272,13 +263,14 @@ def _pair_loss(model, terms, sweep):
     hold this loss's gradients alone.
 
     The embeddings are computed once, and each term's node rows (head.rows)
-    just before its chunks. Each chunk of at most autodiff._CHUNK_ROWS pairs runs
-    the head on leaf copies of the rows, weighted by its share of the pairs,
-    and is swept backward and freed before the next, so the leaves and the head
-    weights gather the chunks' gradients. A last sweep, from an autodiff.relay
-    node that moves each leaf's gradient to its row, carries them through the
-    rows and the GNN and frees each once its row has passed it on; the rows
-    themselves are freed then too, before the GNN's layers run again.
+    just before its chunks. Each chunk, a slice of the pairs from
+    autodiff.chunks, runs the head on leaf copies of the rows, weighted by its
+    share of the pairs, and is swept backward and freed before the next, so the
+    leaves and the head weights gather the chunks' gradients. A last sweep,
+    from an autodiff.relay node that moves each leaf's gradient to its row,
+    carries them through the rows and the GNN and frees each once its row has
+    passed it on; the rows themselves are freed then too, before the GNN's
+    layers run again.
     """
     if sweep:
         model.tape.reset()
@@ -288,7 +280,8 @@ def _pair_loss(model, terms, sweep):
         rows += head.rows(emb)  # the pair (H W_a + b0, H W_b)
         # the rows' nodes have checked these values already
         leaves += [Tensor(r.values, requires_grad=True, check=False) for r in rows[-2:]]
-        for part, out in _head_chunks(head, leaves[-2:], pairs):
+        for part in ad.chunks(len(pairs)):
+            out = head(leaves[-2:], pairs[part, 0], pairs[part, 1])
             chunk = ad.mul(loss(out, targets[part]), weight * (len(out.values) / len(pairs)))
             if sweep:
                 ad.backward(chunk)
@@ -344,12 +337,10 @@ def _check_hygiene(split):
 
 def _head_values(head, emb, pairs):
     """The head's output over ``pairs`` as an array, one row per pair; its node
-    rows are computed once for all chunks."""
-    values = []
-    for _, out in _head_chunks(head, head.rows(emb), pairs):
-        values.append(out.values)
-        del out  # the chunk's graph must not live through the next chunk's head
-    return np.concatenate(values)
+    rows are computed once for all chunks. No chunk's graph outlives its values."""
+    rows = head.rows(emb)
+    return np.concatenate([head(rows, pairs[part, 0], pairs[part, 1]).values
+                           for part in ad.chunks(len(pairs))])
 
 
 def evaluate(model, split, task, dataset="unknown", epochs_run=0, wall_s=0.0):

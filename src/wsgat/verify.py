@@ -112,12 +112,7 @@ def dense_layer_reference(layer, H, g):
             for a, j in zip(alpha, srcs):
                 out[i] += a * Z[j]
         outs.append(out)
-    if layer.heads == 1:
-        merged = outs[0]
-    elif layer.head_merge == "concat":
-        merged = np.hstack(outs)
-    else:
-        merged = np.mean(outs, axis=0)
+    merged = np.hstack(outs) if layer.head_merge == "concat" else np.mean(outs, axis=0)
     return layer.f(Tensor(merged)).values
 
 
@@ -444,12 +439,13 @@ def case_digest(task, g, config):
 
 
 def parity_cases():
-    """The 26 (name, task, graph, config) cases of the parity grid, all with two
-    heads: a 60-node and a 400-node / ~3,000-edge random graph x the three
+    """The 32 (name, task, graph, config) cases of the parity grid: with two
+    heads, a 60-node and a 400-node / ~3,000-edge random graph x the three
     tasks x val_fraction 0.1 and 0 x (epochs, patience) (25, 25) and (60, 3),
     with the default GNN activation; then the 60-node graph's sign task at
     val_fraction 0.1 and (25, 25) with each of the standalone autodiff
-    activations, tanh and leaky_relu, as the GNN activation."""
+    activations, tanh and leaky_relu, as the GNN activation; then, with one
+    head, each graph and task at val_fraction 0.1 and (25, 25)."""
     graphs = {"g60": random_graph(np.random.default_rng(60), 60),
               "g400": random_graph(np.random.default_rng(400), 400, 3000 / (400 * 399))}
     return ([(f"{name}-{task}-val{val}-e{epochs}p{patience}", task, g,
@@ -458,7 +454,10 @@ def parity_cases():
              for epochs, patience in ((25, 25), (60, 3))]
             + [(f"g60-sign-val0.1-e25p25-{act}", "sign", graphs["g60"],
                 TrainConfig(heads=2, epochs=25, patience=25, activation=act))
-               for act in ("tanh", "leaky_relu")])
+               for act in ("tanh", "leaky_relu")]
+            + [(f"{name}-{task}-val0.1-e25p25-1head", task, g,
+                TrainConfig(heads=1, epochs=25, patience=25))
+               for name, g in graphs.items() for task in pipelines.TASKS])
 
 
 def parity(cases):

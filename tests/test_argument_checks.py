@@ -9,7 +9,7 @@ import pytest
 from wsgat import autodiff as ad
 from wsgat.autodiff import Tape, Tensor
 from wsgat.errors import ConfigError, ShapeError
-from wsgat.graph import load_edge_list, normalize_weights
+from wsgat.graph import SignedWeightedGraph, load_edge_list, normalize_weights
 from wsgat.layer import WsGatLayer
 from wsgat.pipelines import TaskModel, TrainConfig
 from wsgat.spectral import fallback_features, signed_spectral_embedding
@@ -63,6 +63,25 @@ CHECKS = [
     ("segment_signed_softmax short of a segment id",
      lambda: ad.segment_signed_softmax(Tensor(np.ones(3)), [0, 1], 2), ShapeError,
      "one segment id per logit required"),
+    ("take_rows by a boolean mask",
+     lambda: ad.take_rows(Tensor(np.ones((3, 2))), np.array([True, False, True])), ShapeError,
+     "take_rows: row indices must be integers, got dtype bool"),
+    ("take_rows by floats", lambda: ad.take_rows(Tensor(np.ones((3, 2))), [0.7, 2.9]),
+     ShapeError, "take_rows: row indices must be integers, got dtype float64"),
+    ("gather_sum by floats",
+     lambda: ad.gather_sum(Tensor(np.ones((3, 2))), [0, 1], Tensor(np.ones((3, 2))), [0.0, 1.0]),
+     ShapeError, "gather_sum: row indices must be integers, got dtype float64"),
+    ("segment_sum by floats", lambda: ad.segment_sum(Tensor(np.ones((2, 2))), [0.0, 1.0], 2),
+     ShapeError, "segment_sum: row indices must be integers, got dtype float64"),
+    ("propagate from floats",
+     lambda: ad.propagate(Tensor(np.ones((3, 2))), Tensor(np.ones(2)), [0.0, 1.0], [0, 1], 3),
+     ShapeError, "propagate: row indices must be integers, got dtype float64"),
+    ("segment_signed_softmax by a boolean mask",
+     lambda: ad.segment_signed_softmax(Tensor(np.ones(2)), np.array([True, False]), 2),
+     ShapeError, "segment_signed_softmax: row indices must be integers, got dtype bool"),
+    ("graph of float node ids",
+     lambda: SignedWeightedGraph.from_edges(3, [0.5, 1.2], [1.9, 2.0], [1, 1]), ValueError,
+     "node ids must be integers, got float64 sources and float64 destinations"),
     ("backward of a vector", lambda: ad.backward(Tensor(np.ones(2), requires_grad=True)),
      ShapeError, "backward requires a scalar output"),
 ]

@@ -436,6 +436,23 @@ def test_leaky_relu_gives_the_bits_of_scaling_the_negative_entries(monkeypatch):
     assert grad(np.array(2.0), scalar, forward(scalar)).tolist() == 0.4
 
 
+@pytest.mark.parametrize("k", [1, 5])
+def test_chunks_cover_the_rows_in_order_at_the_patched_chunk_size(monkeypatch, k):
+    monkeypatch.setattr(ad, "_CHUNK_ROWS", k)
+    for n in (0, 1, k - 1, k, k + 1, 3 * k):
+        parts = ad.chunks(n)
+        assert [i for part in parts for i in range(n)[part]] == list(range(n))
+        assert all(1 <= len(range(n)[part]) <= k for part in parts)
+        assert len(parts) == -(-n // k)  # the fewest slices of k rows: k is the size used
+
+
+def test_an_empty_index_list_takes_no_rows():
+    # np.asarray([]) is float64: an empty list is no rows, not a float index
+    a = Tensor(np.ones((3, 2)), requires_grad=True)
+    assert ad.take_rows(a, []).shape == (0, 2)
+    assert ad.segment_sum(Tensor(np.ones((0, 2))), [], 3).values.tolist() == [[0.0, 0.0]] * 3
+
+
 def test_tanh_derivative_gives_the_bits_of_one_minus_the_square_times_g():
     """g times tanh's derivative, written over the output, gives the bits of
     (1 - out * out) * g computed on copies: at both zeros, the subnormals, +-1,

@@ -110,6 +110,16 @@ def test_ingest_picks_csv4_for_a_csv_file(tmp_path, capsys):
     assert (out / "SOC-SIGN-BITCOINALPHA.tsv").exists()
 
 
+def test_ingest_skips_the_percent_comment_lines_of_a_konect_file(tmp_path, capsys):
+    # KONECT's out.* edge lists (advogato, paper Table 3) open with '%' lines
+    p = tmp_path / "out.advogato"
+    p.write_text("% asym positive\n% 4 3 3\n1 2 0.8\n2 3 0.6\n3 1 1.0\n1 3 0.4\n")
+    out = tmp_path / "data"
+    assert main(["ingest", str(p), "--name", "advogato", "--out", str(out)]) == 0
+    assert "4 edges" in capsys.readouterr().out
+    assert (out / "advogato.tsv").read_text() == "1\t2\t0.8\n1\t3\t0.4\n2\t3\t0.6\n3\t1\t1.0\n"
+
+
 def test_train_picks_csv4_for_a_csv_file(tmp_path, tiny_cfg, capsys):
     # the same suffix rule as ingest: a SNAP-style file with a header, no --format
     g = random_graph(np.random.default_rng(9), 12, 0.35)

@@ -103,7 +103,7 @@ def loop_load_edge_list(path, fmt=None, symmetrize=False):
         with open(path, "r", encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.strip()
-                if not line or line.startswith("#"):
+                if not line or line.startswith(("#", "%")):
                     continue
                 is_first, first_record = first_record, False
                 if fmt == "tsv3":
@@ -151,7 +151,7 @@ def loop_load_edge_list(path, fmt=None, symmetrize=False):
     return SignedWeightedGraph.from_edges(len(labels), src[last], dst[last], weight[last], labels)
 
 
-_LABELS = ["1", "2", "10", "-3", "0.5", "1e3", "nan", "inf", "alice", "bob smith", "#x", "é"]
+_LABELS = ["1", "2", "10", "-3", "0.5", "1e3", "nan", "inf", "alice", "bob smith", "#x", "%x", "é"]
 _WEIGHTS = ["1", "-2.5", "0.5", " 3 ", "7e-1", "-10"]
 _FAULTY_WEIGHTS = ["0", "-0.0", "nan", "inf", "-inf", "x", "1,5", ""]
 
@@ -167,7 +167,8 @@ def _random_edge_file(rng, csv4):
     for _ in range(int(rng.integers(0, 12))):
         u = rng.random()
         if u < 0.1:
-            lines.append(str(rng.choice(["# comment", "", "   ", "\t", "#a\tb\t1"])))
+            lines.append(str(rng.choice(["# comment", "", "   ", "\t", "#a\tb\t1",
+                                         "% asym positive", "%a\tb\t1"])))
             continue
         s, d = rng.choice(labels, size=2)
         fault = rng.random()  # < 0.03: a faulty weight; < 0.05: a wrong field count
@@ -284,7 +285,7 @@ def test_roundtrip_tsv3(tmp_path):
 @pytest.mark.parametrize("labels, bad", [
     (("a\tq", "c"), "a\tq"), (("a", "c\td"), "c\td"), (("a\rq", "c"), "a\rq"),
     ((" a", "c"), " a"), (("a", "c "), "c "), (("", "c"), ""), (("#a", "c"), "#a"),
-    (("\ufeffa", "c"), "\ufeffa"),
+    (("\ufeffa", "c"), "\ufeffa"), (("%a", "c"), "%a"),
 ])
 def test_save_rejects_a_label_tsv3_cannot_read_back(tmp_path, labels, bad):
     g = SignedWeightedGraph.from_edges(2, [0], [1], [2.0], labels)

@@ -126,6 +126,39 @@ def test_a_recomputed_layer_gives_the_bits_of_its_plain_graph(monkeypatch, heads
     assert recomputed == run()
 
 
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("merge", ["concat", "mean"])
+def test_a_one_head_layer_gives_the_bits_of_its_activation_of_its_heads_propagate(
+        merge, activation):
+    """A one-head layer, through either merge, gives the values, H's gradient
+    and every parameter's gradient of ``self.f`` applied to its head's
+    propagate output, built here outside the layer, to the bit."""
+    g = random_graph(np.random.default_rng(7), 9, 0.4)
+    values = np.random.default_rng(2).standard_normal((9, 4))
+
+    def run(forward):
+        tape = Tape(seed=3)
+        layer = WsGatLayer(tape, "l", 4, 3, TrainConfig(heads=1, activation=activation,
+                                                        attention_hidden=5), merge)
+        for p in tape.params.values():  # biases start at zero, which would hide them
+            p.values = p.values + np.random.default_rng(4).standard_normal(p.shape)
+        H = Tensor(values, requires_grad=True)
+        out = forward(layer, H)
+        values_out = out.values.tobytes()  # backward may write a gradient over it
+        ad.backward(ad.sum_(ad.mul(out, np.random.default_rng(5).standard_normal(out.shape))))
+        return [values_out, H.grad.tobytes()] + [(name, p.grad.tobytes())
+                                                 for name, p in tape.params.items()]
+
+    def by_hand(layer, H):
+        src, dst, _ = layer.edge_arrays(g)
+        alpha = ad.segment_signed_softmax(ad.squeeze_col(layer.attention_logits(0, H, g)),
+                                          dst, g.num_nodes)
+        return layer.f(ad.propagate(ad.matmul(H, layer.w_out[0]), alpha, src, dst,
+                                    g.num_nodes))
+
+    assert run(lambda layer, H: layer.forward(H, g)) == run(by_hand)
+
+
 def test_mlp_rows_reject_node_rows_that_do_not_fit_the_first_layer():
     # the attention scorer's w0 has 2d + 1 rows, a head's 2d; a narrower H
     # would split w0 into the wrong blocks
