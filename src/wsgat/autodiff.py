@@ -31,18 +31,20 @@ third, propagate(z, alpha, src, dst, n), is a graph layer's message passing,
 alpha[k] * z[src[k]] summed into row dst[k], without the per-edge message
 matrix.
 
-linear and gather_sum also take act, "tanh" or "leaky_relu": an activation
-epilogue. The node checks its pre-activation for NaN/Inf (tanh(inf) is 1
-and would hide an overflow), not its output again, then applies the
-activation in place, keeping only its output and, for leaky_relu, a boolean
-mask of the negative entries.
+linear, gather_sum, concat and mul also take act, a key of _ACTIVATIONS
+("tanh", "leaky_relu" or "elu"): an activation epilogue. The node checks its
+pre-activation for NaN/Inf (tanh(inf) is 1 and would hide an overflow), not
+its output again, then applies the activation in place, keeping only its
+output and, for leaky_relu, a boolean mask of the negative entries, for elu
+their flat indices and values.
 Backward multiplies g by the derivative once, then runs the op's own
 gradients. It writes that product over the node's output array, whose
 readers' backwards have all run by then, so no second array of its size is
 made: after a sweep, an activation node's .values hold its gradient, not its
-output. The standalone tanh and leaky_relu run the same two functions
+output. The standalone tanh, leaky_relu and elu run the same two functions
 (_ACTIVATIONS) on a copy of their input, so both give the same bits, and
-each owns the array it overwrites.
+each owns the array it overwrites. _unary, an elementwise op that keeps its
+input and its output, serves only sigmoid, abs_, sign_, log and exp.
 
 recompute(fn, *inputs) is gradient checkpointing: fn(*inputs) as one node
 that keeps only its inputs and its output, and runs fn again in backward to
@@ -106,9 +108,9 @@ def _as_tensor(x):
 
 
 # rows per slice of chunks(n), the one chunk loop: of propagate's alpha
-# gradient (edges), of leaky_relu's derivative and of a pair head (pairs, in
-# pipelines): a chunk's transients then take 16384 x width floats, however
-# many edges or pairs there are
+# gradient (edges), of leaky_relu's derivative, of elu's (negative entries,
+# not rows) and of a pair head (pairs, in pipelines): a chunk's transients
+# then take 16384 x width floats, however many edges or pairs there are
 _CHUNK_ROWS = 16384
 
 
@@ -158,13 +160,41 @@ def _leaky_relu_grad(g, out, negative):
     return out
 
 
+def _elu_(x):
+    # integer indices of the negative entries, not a boolean mask, whose
+    # indexing is slower. x is an op's own new array, contiguous in C or F
+    # order, so its ravel in memory order is a view, which the write reaches
+    # (a reshape(-1) of an F-ordered x would be a copy)
+    flat = x.ravel(order="K")
+    negative = np.flatnonzero(flat < 0)
+    pre = flat[negative]
+    flat[negative] = np.expm1(pre)
+    return negative, pre
+
+
+def _elu_grad(g, out, saved):
+    # g, times exp(x) at the negative entries: the bits of
+    # g * np.where(x >= 0, 1.0, np.exp(x)), whose g * 1.0 is g. The exp and
+    # the product are taken _CHUNK_ROWS negative entries at a time
+    negative, pre = saved
+    np.copyto(out, g)
+    flat = out.ravel(order="K")
+    for part in chunks(len(negative)):
+        idx = negative[part]
+        slope = np.exp(pre[part])
+        slope *= flat[idx]
+        flat[idx] = slope
+    return out
+
+
 # activation name -> (apply in place to x, returning what the derivative
 # needs besides the output; g times the derivative, from g, the output and
 # that, written over the output and returned). The standalone ops and the
-# fused epilogues both run these.
+# fused epilogues both run these, and layer.ACTIVATIONS reads the names.
 _ACTIVATIONS = {
     "tanh": (_tanh_, _tanh_grad),
     "leaky_relu": (_leaky_relu_, _leaky_relu_grad),
+    "elu": (_elu_, _elu_grad),
 }
 
 
@@ -180,6 +210,7 @@ def _node(values, op, *grads, act=None):
     only readers of the output, have run by then."""
     if act is not None:
         forward, grad = _ACTIVATIONS[act]
+        values = np.asarray(values)  # a ufunc of 0-d arrays gives a scalar, which cannot be written
         _check_finite(values, op)
         saved = forward(values)
 
@@ -223,16 +254,17 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _binary(a, b, fwd, da, db, op):
+def _binary(a, b, fwd, da, db, op, act=None):
     """Elementwise op in the three broadcast cases of the module docstring;
-    da(g, b.values) and db(g, a.values) are the gradients before _unbroadcast."""
+    da(g, b.values) and db(g, a.values) are the gradients before _unbroadcast.
+    With act the activation follows in the same node."""
     a, b = _as_tensor(a), _as_tensor(b)
     if not (a.shape == b.shape or a.shape == () or b.shape == ()
             or (a.values.ndim == 2 and b.shape == a.shape[1:])):
         raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
     return _node(fwd(a.values, b.values), op,
                  (a, lambda g: _unbroadcast(da(g, b.values), a.shape)),
-                 (b, lambda g: _unbroadcast(db(g, a.values), b.shape)))
+                 (b, lambda g: _unbroadcast(db(g, a.values), b.shape)), act=act)
 
 
 def add(a, b):
@@ -243,8 +275,9 @@ def sub(a, b):
     return _binary(a, b, lambda x, y: x - y, lambda g, y: g, lambda g, x: -g, "sub")
 
 
-def mul(a, b):
-    return _binary(a, b, lambda x, y: x * y, lambda g, y: g * y, lambda g, x: g * x, "mul")
+def mul(a, b, act=None):
+    return _binary(a, b, lambda x, y: x * y, lambda g, y: g * y, lambda g, x: g * x, "mul",
+                   act=act)
 
 
 def matmul(a, b):
@@ -257,7 +290,7 @@ def matmul(a, b):
 
 def linear(x, w, b, act=None):
     """x @ w + b in one node, b added in place: the bits of add(matmul(x, w), b).
-    With act ("tanh" or "leaky_relu") the activation follows in the same node."""
+    With act the activation follows in the same node."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if (x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != w.shape[1:]):
@@ -276,8 +309,8 @@ def _unary(a, fwd, deriv, op):
 
 
 def _activation_node(a, act):
-    """The activation act alone: the epilogue of linear and gather_sum, on a copy
-    of a, which the node owns and its backward overwrites."""
+    """The activation act alone: the epilogue of linear, gather_sum, concat and
+    mul, on a copy of a, which the node owns and its backward overwrites."""
     a = _as_tensor(a)
     return _node(a.values.copy(), act, (a, lambda g: g), act=act)
 
@@ -303,12 +336,7 @@ def leaky_relu(a):
 
 
 def elu(a):
-    return _unary(
-        a,
-        lambda x: np.where(x >= 0, x, np.expm1(x)),
-        lambda x, o: np.where(x >= 0, 1.0, np.exp(x)),
-        "elu",
-    )
+    return _activation_node(a, "elu")
 
 
 def abs_(a):
@@ -342,7 +370,8 @@ def mean_(a):
     return _node(a.values.mean(), "mean", (a, lambda g: np.full(a.shape, float(g) / a.values.size)))
 
 
-def concat(parts, axis=0):
+def concat(parts, axis=0, act=None):
+    """parts joined along axis; with act the activation follows in the same node."""
     parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat of zero tensors")
@@ -354,7 +383,8 @@ def concat(parts, axis=0):
     lead = (slice(None),) * (axis % out.ndim)
     bounds = np.cumsum([0] + [p.shape[axis] for p in parts])
     return _node(out, "concat", *[(p, lambda g, sl=lead + (slice(lo, hi),): g[sl])
-                                  for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])])
+                                  for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])],
+                 act=act)
 
 
 def squeeze_col(a):
@@ -402,7 +432,7 @@ def gather_sum(a, first, b, second, extra=None, w=None, act=None):
     """a[first] + b[second], plus extra @ w when both are given, in one node:
     the bits of add(add(take_rows(a, first), take_rows(b, second)),
     matmul(extra, w)), without the gathered matrices or the product. With act
-    ("tanh" or "leaky_relu") the activation follows in the same node."""
+    the activation follows in the same node."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"gather_sum: incompatible shapes {a.shape} and {b.shape}")

@@ -11,7 +11,8 @@ A layer's forward is one autodiff.recompute node over its input H, so
 between forward and backward it keeps only H and its output. Backward runs
 the whole layer again, over the edge arrays the forward fetched: per head
 the attention MLP (its node rows, then its pair stage), the signed softmax,
-the projection and propagate, then the head merge and the activation.
+the projection and propagate, then the head merge, one concat or mul node
+that applies the activation in place as its epilogue.
 
 Mlp, which scores the edges here and the node pairs in the prediction heads,
 runs in two stages and never builds the pair matrix: Mlp.rows(H) runs its
@@ -31,8 +32,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError
 
-# the values of TrainConfig.activation: "identity" or the name of an autodiff op
-ACTIVATIONS = ("identity", "tanh", "elu", "leaky_relu")
+# the values of TrainConfig.activation: "identity" or a key of autodiff._ACTIVATIONS
+ACTIVATIONS = ("identity", *ad._ACTIVATIONS)
 
 
 class Mlp:
@@ -41,8 +42,8 @@ class Mlp:
     the MLP over row k of ``pair_features(H, first, second, extra)``.
 
     ``hidden_act`` follows every layer but the last, ``out_act`` (None: linear)
-    the last: each an activation name, ``"tanh"`` or ``"leaky_relu"``, applied
-    inside the node of its layer's product.
+    the last: each a key of ``autodiff._ACTIVATIONS``, applied inside the node
+    of its layer's product.
     """
 
     def __init__(self, tape, prefix, sizes, hidden_act, out_act=None):
@@ -109,9 +110,8 @@ class WsGatLayer:
         self.head_merge = head_merge
         self.self_loop_weight = config.self_loop_weight
         self.projection = config.projection
-        # looked up now, not at import, so a profiler's wrapped op is the one called
-        self.f = ((lambda t: t) if config.activation == "identity"
-                  else getattr(ad, config.activation))
+        # the merge node's activation epilogue: None for "identity"
+        self.act = None if config.activation == "identity" else config.activation
         self.att = [
             Mlp(tape, f"{prefix}.h{k}.att", [2 * in_width + 1, config.attention_hidden, 1],
                 "leaky_relu", "tanh")
@@ -169,10 +169,8 @@ class WsGatLayer:
                 outs.append(ad.propagate(z, alpha, src, dst, g.num_nodes))
             # with one head: a concat of one part copies it, and * 1.0 is exact
             if self.head_merge == "concat":
-                merged = ad.concat(outs, axis=1)
-            else:
-                merged = ad.mul(functools.reduce(ad.add, outs), 1.0 / self.heads)
-            return self.f(merged)
+                return ad.concat(outs, axis=1, act=self.act)
+            return ad.mul(functools.reduce(ad.add, outs), 1.0 / self.heads, act=self.act)
 
         # the layer's graph, every (E+N)-row array in it, is rebuilt in backward
         return ad.recompute(layer, H)

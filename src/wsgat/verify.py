@@ -113,7 +113,7 @@ def dense_layer_reference(layer, H, g):
                 out[i] += a * Z[j]
         outs.append(out)
     merged = np.hstack(outs) if layer.head_merge == "concat" else np.mean(outs, axis=0)
-    return layer.f(Tensor(merged)).values
+    return merged if layer.act is None else getattr(ad, layer.act)(merged).values
 
 
 def dense_mlp_reference(mlp, X):
@@ -209,6 +209,8 @@ def _gradcheck_ops():
         ad.gather_sum(a, idx, f, [1, 1, 0, 1], extra, w_extra))), [a, f, extra, w_extra])
     check("gather_sum+leaky_relu", lambda: ad.sum_(ad.tanh(ad.gather_sum(
         a, idx, f, [1, 1, 0, 1], extra, w_extra, act="leaky_relu"))), [a, f, extra, w_extra])
+    check("concat+elu", lambda: ad.sum_(ad.tanh(ad.concat([a, c], axis=1, act="elu"))), [a, c])
+    check("mul+elu", lambda: ad.sum_(ad.tanh(ad.mul(a, c, act="elu"))), [a, c])
     alpha = Tensor(rng.standard_normal(4), requires_grad=True)
     check("propagate", lambda: ad.sum_(ad.tanh(ad.propagate(a, alpha, idx, [1, 0, 1, 1], 2))),
           [a, alpha])

@@ -355,33 +355,45 @@ def test_gather_sum_gives_the_bits_of_two_take_rows_added(seed, same, extra):
     assert run(ad.gather_sum) == run(unfused)
 
 
-@pytest.mark.parametrize("act", ["tanh", "leaky_relu"])
-@pytest.mark.parametrize("op", ["linear", "gather_sum", "gather_sum-extra"])
+@pytest.mark.parametrize("act", ad._ACTIVATIONS)
+@pytest.mark.parametrize("op", ["linear", "gather_sum", "gather_sum-extra", "concat", "mul"])
 def test_activation_epilogue_gives_the_bits_of_the_standalone_activation(op, act):
-    """linear and gather_sum with act give the values and every parent's
-    gradient of the standalone activation after the plain op, to the bit. Row
-    0 of the pre-activation holds 0.0, -0.0 (reached only by gather_sum
-    without extra: a product's zero is +0.0) and a negative subnormal, which
-    pin leaky_relu's kink."""
+    """linear, gather_sum and the head merges concat and mul with act give the
+    values and every parent's gradient of the standalone activation after the
+    plain op, to the bit. Row 0 of the pre-activation holds 0.0, -0.0 (not
+    reached by linear or by gather_sum with extra: a product's zero is +0.0)
+    and a negative subnormal, which pin the activations' kink."""
     rng = np.random.default_rng(5)
     tiny = -5e-324
+    kink = [0.0, -0.0, tiny]
     if op == "linear":
         x = rng.standard_normal((6, 4))
         x[0] = 0.0
         values = [x, rng.standard_normal((4, 3)), np.array([0.0, -0.0, tiny])]
         kink = [0.0, 0.0, tiny]
         plain = ad.linear
+    elif op == "concat":
+        a, b = rng.standard_normal((6, 2)), rng.standard_normal((6, 1))
+        a[0], b[0] = kink[:2], kink[2:]
+        values = [a, b]
+
+        def plain(a, b, act=None):
+            return ad.concat([a, b], axis=1, act=act)
+    elif op == "mul":
+        a, b = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+        a[0], b[0] = kink, 1.0
+        values = [a, b]
+        plain = ad.mul
     else:
         a, b = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
         a[0], b[0] = [0.0, -0.0, tiny], [0.0, -0.0, -0.0]
         first, second = np.array([0, 1, 3, 0, 2, 1]), np.array([0, 4, 4, 2, 1, 0])
         values = [a, b]
-        kink = [0.0, -0.0, tiny]
         if op == "gather_sum-extra":
             extra = rng.standard_normal((6, 2))
             extra[0] = 0.0
             values += [extra, rng.standard_normal((2, 3))]
-            kink[1] = 0.0
+            kink = [0.0, 0.0, tiny]
 
         def plain(a, b, *term, act=None):
             return ad.gather_sum(a, first, b, second, *term, act=act)
@@ -403,6 +415,18 @@ def test_activation_epilogue_gives_the_bits_of_the_standalone_activation(op, act
         x = Tensor(kink, requires_grad=True)
         ad.backward(ad.sum_(ad.leaky_relu(x)))
         assert x.grad.tolist() == [1.0, 1.0, 0.2]
+
+
+@pytest.mark.parametrize("act", ad._ACTIVATIONS)
+def test_a_product_of_scalars_takes_its_activation(act):
+    """mul of two 0-d operands, whose numpy product is a scalar rather than an
+    array, applies its act like the standalone activation."""
+    x = Tensor(-2.0, requires_grad=True)
+    fused = ad.mul(x, 3.0, act=act)
+    assert fused.values.tobytes() == getattr(ad, act)(ad.mul(x, 3.0)).values.tobytes()
+    ad.backward(fused)
+    assert x.grad == pytest.approx(fd_grad(lambda: float(getattr(ad, act)(ad.mul(x, 3.0)).values),
+                                           x.values))
 
 
 def test_leaky_relu_gives_the_bits_of_scaling_the_negative_entries(monkeypatch):
@@ -434,6 +458,39 @@ def test_leaky_relu_gives_the_bits_of_scaling_the_negative_entries(monkeypatch):
         assert grad(g, out.copy(), negative).tobytes() == (g * np.where(x < 0, 0.2, 1.0)).tobytes()
     scalar = np.array(-3.0)
     assert grad(np.array(2.0), scalar, forward(scalar)).tolist() == 0.4
+
+
+def test_elu_gives_the_bits_of_the_where_form(monkeypatch):
+    """The in-place forward and the derivative written over the output give
+    the bits of np.where(x >= 0, x, np.expm1(x)) and of
+    g * np.where(x >= 0, 1.0, np.exp(x)), at both zeros, the subnormals, where
+    exp underflows and at the extremes too, on C- and F-ordered arrays, in one
+    chunk of negative entries or in many, and for a 0-d array."""
+    rng = np.random.default_rng(6)
+    edge = [0.0, -0.0, 5e-324, -5e-324, -2.2250738585072014e-308, -745.0, -800.0,
+            1.7976931348623157e308, -1.7976931348623157e308]
+    x = np.concatenate([rng.standard_normal(3990) * 10.0 ** rng.integers(-320, 300, 3990),
+                        edge]).reshape(-1, 3)
+    g = np.concatenate([rng.standard_normal(3990), edge[::-1]]).reshape(-1, 3)
+    with np.errstate(over="ignore"):  # the where form takes exp of the large positives too
+        expected = np.where(x >= 0, x, np.expm1(x)).tobytes()
+        expected_grad = (g * np.where(x >= 0, 1.0, np.exp(x))).tobytes()
+    forward, grad = ad._ACTIVATIONS["elu"]
+    for order in ("C", "F"):
+        out = np.array(x, order=order)
+        saved = forward(out)
+        assert out.tobytes() == expected and out.flags[f"{order}_CONTIGUOUS"]
+        # the derivative is written over the output it is given, so each call gets a copy
+        for chunk_rows in (16384, 7):
+            monkeypatch.setattr(ad, "_CHUNK_ROWS", chunk_rows)
+            buf, g_before = out.copy(order="K"), g.copy()
+            result = grad(g, buf, saved)
+            assert result is buf and result.tobytes() == expected_grad
+            assert g.tobytes() == g_before.tobytes()
+    scalar = np.array(-3.0)
+    saved = forward(scalar)
+    assert scalar.tobytes() == np.expm1(np.array(-3.0)).tobytes()
+    assert grad(np.array(2.0), scalar, saved).tobytes() == (2.0 * np.exp(np.array(-3.0))).tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 5])
@@ -474,7 +531,7 @@ def test_tanh_derivative_gives_the_bits_of_one_minus_the_square_times_g():
     assert g.tobytes() == g_before.tobytes()
 
 
-@pytest.mark.parametrize("act", ["tanh", "leaky_relu"])
+@pytest.mark.parametrize("act", ad._ACTIVATIONS)
 def test_an_activation_backward_reuses_its_output_buffer(act):
     """The standalone activation's backward writes the input's gradient over
     the activation's output array instead of allocating a new one."""
@@ -486,7 +543,7 @@ def test_an_activation_backward_reuses_its_output_buffer(act):
     assert np.shares_memory(x.grad, buf)
 
 
-@pytest.mark.parametrize("act", ["tanh", "leaky_relu"])
+@pytest.mark.parametrize("act", ad._ACTIVATIONS)
 def test_a_fused_activation_backward_allocates_no_array_of_its_output_size(act):
     """The backward of one linear(..., act) node keeps no array of its output's
     size besides its parents' gradients: with x twice as wide as the output,

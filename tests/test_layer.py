@@ -81,7 +81,8 @@ def test_forward_keeps_only_its_input_and_its_output(monkeypatch, heads):
     node with one row per edge and self-loop, no head's output, no merge and
     no activation input. With recompute patched to a plain call the layer's
     graph is kept, among it one (E+N, attention_hidden) gather_sum and one
-    propagate per head: the check can fail."""
+    propagate per head: the check can fail. That graph ends in its merge
+    node, which carries the activation: it holds no standalone one."""
     g = random_graph(np.random.default_rng(0), 9, 0.4)
     layer = make_layer(in_width=4, out_width=3, heads=heads, attention_hidden=7)
     H = Tensor(np.random.default_rng(1).standard_normal((9, 4)), requires_grad=True)
@@ -93,6 +94,11 @@ def test_forward_keeps_only_its_input_and_its_output(monkeypatch, heads):
     edge_rows = g.num_edges + g.num_nodes
     assert ops.count(("gather_sum", (edge_rows, 7))) == heads
     assert ops.count(("propagate", (9, 3))) == heads
+    assert ops[-1] == ("concat", (9, 3 * heads)) and layer.act == "elu"
+    assert not {op for op, _ in ops} & set(ad._ACTIVATIONS)
+    mean = make_layer(in_width=4, out_width=3, head_merge="mean", heads=heads)
+    ops = [t.op for t in ad.topo_order(mean.forward(H, g))]
+    assert ops[-1] == "mul" and not set(ops) & set(ad._ACTIVATIONS)
 
 
 @pytest.mark.parametrize("activation", ACTIVATIONS)
@@ -131,8 +137,8 @@ def test_a_recomputed_layer_gives_the_bits_of_its_plain_graph(monkeypatch, heads
 def test_a_one_head_layer_gives_the_bits_of_its_activation_of_its_heads_propagate(
         merge, activation):
     """A one-head layer, through either merge, gives the values, H's gradient
-    and every parameter's gradient of ``self.f`` applied to its head's
-    propagate output, built here outside the layer, to the bit."""
+    and every parameter's gradient of its activation's standalone op applied
+    to its head's propagate output, built here outside the layer, to the bit."""
     g = random_graph(np.random.default_rng(7), 9, 0.4)
     values = np.random.default_rng(2).standard_normal((9, 4))
 
@@ -153,8 +159,8 @@ def test_a_one_head_layer_gives_the_bits_of_its_activation_of_its_heads_propagat
         src, dst, _ = layer.edge_arrays(g)
         alpha = ad.segment_signed_softmax(ad.squeeze_col(layer.attention_logits(0, H, g)),
                                           dst, g.num_nodes)
-        return layer.f(ad.propagate(ad.matmul(H, layer.w_out[0]), alpha, src, dst,
-                                    g.num_nodes))
+        out = ad.propagate(ad.matmul(H, layer.w_out[0]), alpha, src, dst, g.num_nodes)
+        return out if layer.act is None else getattr(ad, layer.act)(out)
 
     assert run(lambda layer, H: layer.forward(H, g)) == run(by_hand)
 
@@ -340,7 +346,7 @@ class TestStack:
         for i, layer in enumerate(layers):
             out_width = (cfg.embed if i == 2 else cfg.hidden) if projection else in_width
             assert layer.heads == 2 and len(layer.att) == len(layer.w_out) == 2
-            assert layer.f is ad.tanh
+            assert layer.act == "tanh"
             assert layer.self_loop_weight == -0.5
             assert layer.edge_arrays(g)[2][-g.num_nodes:].tolist() == [-0.5] * g.num_nodes
             assert layer.projection is projection
