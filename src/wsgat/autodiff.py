@@ -3,9 +3,12 @@
 64-bit floats throughout. Every op checks its output, and backward() each
 gradient, for NaN/Inf (NumericFault); an op with an activation epilogue
 checks its pre-activation instead, since the activations map finite values
-to finite values. After backward() only leaf tensors keep .grad, which is
-never written in place; an activation's backward does write its gradient
-over the activation's own output (see below).
+to finite values. After backward() only leaf tensors keep .grad. A tensor
+never writes into a gradient it was handed, which may alias another: the
+first becomes its .grad, and the first sum goes into an array the tensor
+allocates and then owns, which later sums, a chunk loop's included, add into
+in place. An activation's backward writes its gradient over the
+activation's own output (see below).
 
 A sweep frees the graph as it passes it. It moves each node's gradient into
 the node's backward, which holds the only reference to it, and a node whose
@@ -60,7 +63,12 @@ sparse incidence-matrix product, and propagate's forward and z gradient one
 sparse product with alpha in place of the ones. Each sums a row's terms in
 index order, starting from zero, so it gives the same bits as numpy.add.at.
 Their row indices must be integers in [0, n); anything else, a boolean mask
-or a float array included, raises ShapeError.
+or a float array included, raises ShapeError. A take_rows or gather_sum
+backward whose indices are fewer than the rows is row-sparse: it hands on
+(rows, sums), the rows it touched and their sums alone, which the parent adds
+into those rows of its own gradient, and a sweep then checks only those rows
+for NaN/Inf. A pair head's chunk on a graph of more nodes than the chunk has
+pairs thus costs its leaves' gradients chunk-sized work, not node-sized.
 """
 
 from __future__ import annotations
@@ -76,6 +84,9 @@ def _check_finite(values, where):
         raise NumericFault(f"non-finite values in {where}")
 
 
+_NO_ROWS = np.empty(0, dtype=np.int64)  # Tensor._fresh once every row is checked
+
+
 class Tensor:
     """Dense float64 array node of a differentiable computation."""
 
@@ -88,16 +99,57 @@ class Tensor:
         self.parents = tuple(parents)
         self._backward = backward
         self.op = op
-        self.grad = None
+        self.grad = self._own = None  # _own: see accumulate_grad
 
     @property
     def shape(self):
         return self.values.shape
 
     def accumulate_grad(self, g):
-        # g may alias an upstream gradient or a view of it, so a .grad is
-        # never written in place: + makes a new array
-        self.grad = g if self.grad is None else self.grad + g
+        """Add g, an array of the tensor's shape or a row scatter's (rows,
+        sums), into .grad.
+
+        An array handed in may alias another gradient or a view of one (add
+        hands one g to both parents, an activation's backward its output), so
+        it is never written: the first one becomes .grad as it is, and the
+        first sum goes into an array the tensor allocates, its own, into which
+        later sums add in place while .grad is that array. An array set as
+        .grad from outside is not, so it is never written either. (rows, sums)
+        adds sums into those rows of the tensor's own gradient, a zeroed one if
+        there was no .grad; _fresh then keeps the rows of it that _check_grad
+        has still to read, None for all of them."""
+        if isinstance(g, tuple):
+            rows, sums = g
+            if self.grad is None:
+                self._own, self._fresh = np.zeros(self.shape), _NO_ROWS
+            elif self.grad is not self._own:
+                self._own, self._fresh = self.grad.copy(), None
+            self._own[rows] += sums
+            self.grad = self._own
+            if self._fresh is not None:
+                self._fresh = np.concatenate([self._fresh, rows])
+        elif self.grad is None:
+            self.grad, self._own = g, None
+        elif self.grad is self._own:
+            self._own += g
+            self._fresh = None
+        else:
+            self.grad = self._own = np.add(self.grad, g, out=np.empty(self.shape))
+            self._fresh = None
+
+    def _check_grad(self):
+        """Check .grad for NaN/Inf: of the tensor's own gradient only the rows
+        added since the last check."""
+        owned = self.grad is self._own
+        fresh = self.grad[self._fresh] if owned and self._fresh is not None else self.grad
+        _check_finite(fresh, f"gradient of {self.op or 'tensor'}")
+        if owned:
+            self._fresh = _NO_ROWS
+
+    def _take_grad(self):
+        """.grad, which the tensor then neither holds nor owns."""
+        g, self.grad, self._own = self.grad, None, None
+        return g
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
@@ -240,9 +292,8 @@ def _leaf_grads(inputs, leaves):
     grads = []
     for x, leaf in zip(inputs, leaves):
         if leaf.grad is not None:
-            held = [leaf.grad]
+            held = [leaf._take_grad()]
             grads.append((x, lambda g, held=held: held.pop()))
-            leaf.grad = None
     return grads
 
 
@@ -421,11 +472,23 @@ def _scatter_add(values, idx, n):
     return incidence @ values
 
 
+def _scatter_rows(values, idx, n):
+    """The gradient of a row gather: _scatter_add(values, idx, n) when idx has
+    at least n entries, else (rows, sums), the rows idx touches (np.unique)
+    and the same product over those rows alone, which accumulate_grad adds
+    into its own gradient in place: the bits of adding the n-row scatter, with
+    no n-row array made."""
+    if len(idx) >= n:
+        return _scatter_add(values, idx, n)
+    rows, compact = np.unique(idx, return_inverse=True)
+    return rows, _scatter_add(values, compact, len(rows))
+
+
 def take_rows(a, idx):
     """Gather rows; backward scatter-adds the gradient."""
     a = _as_tensor(a)
     idx = _row_index(idx, a.shape[0], "take_rows")
-    return _node(a.values[idx], "take_rows", (a, lambda g: _scatter_add(g, idx, a.shape[0])))
+    return _node(a.values[idx], "take_rows", (a, lambda g: _scatter_rows(g, idx, a.shape[0])))
 
 
 def gather_sum(a, first, b, second, extra=None, w=None, act=None):
@@ -444,8 +507,8 @@ def gather_sum(a, first, b, second, extra=None, w=None, act=None):
         raise ShapeError("gather_sum: extra and w must be given together")
     out = a.values[first]
     out += b.values[second]
-    grads = [(a, lambda g: _scatter_add(g, first, a.shape[0])),
-             (b, lambda g: _scatter_add(g, second, b.shape[0]))]
+    grads = [(a, lambda g: _scatter_rows(g, first, a.shape[0])),
+             (b, lambda g: _scatter_rows(g, second, b.shape[0]))]
     if extra is not None:
         extra, w = _as_tensor(extra), _as_tensor(w)
         if (extra.values.ndim != 2 or w.values.ndim != 2 or extra.shape[0] != len(first)
@@ -632,9 +695,9 @@ def _sweep(output, g):
     while order:
         node = order.pop()
         if node.grad is not None:
-            _check_finite(node.grad, f"gradient of {node.op or 'tensor'}")
+            node._check_grad()
             if node._backward is not None:
-                held, node.grad = [node.grad], None
+                held = [node._take_grad()]
                 node._backward(held.pop())
                 node._backward, node.parents = _swept, ()
 

@@ -16,7 +16,9 @@ Every loss and every evaluation computes the embeddings and each head's node
 rows (Mlp.rows) once, then runs the head's pair stage over the chunks of
 pairs autodiff.chunks gives, so a head's activations take chunk-sized memory,
 not pair-count-sized. A training loss runs the chunks on leaf copies of the
-rows and sweeps each backward at once; one last sweep, from an autodiff.relay
+rows and sweeps each backward at once, adding into one gradient array that
+each leaf owns, only the rows its pairs touch when the chunk has fewer pairs
+than the graph has nodes; one last sweep, from an autodiff.relay
 node, carries the gradients the leaves gathered through the rows and the GNN.
 Each row is freed there once it has passed its gradient on, before the GNN's
 layers, each one autodiff.recompute node, run again.
@@ -266,7 +268,11 @@ def _pair_loss(model, terms, sweep):
     just before its chunks. Each chunk, a slice of the pairs from
     autodiff.chunks, runs the head on leaf copies of the rows, weighted by its
     share of the pairs, and is swept backward and freed before the next, so the
-    leaves and the head weights gather the chunks' gradients. A last sweep,
+    leaves and the head weights gather the chunks' gradients, each tensor in
+    one array it allocates at its first sum and then adds into in place. A
+    chunk of fewer pairs than there are nodes hands a leaf only the rows its
+    pairs touch (autodiff's row-sparse scatter), so it makes no node-sized
+    array for it. A last sweep,
     from an autodiff.relay node that moves each leaf's gradient to its row,
     carries them through the rows and the GNN and frees each once its row has
     passed it on; the rows themselves are freed then too, before the GNN's

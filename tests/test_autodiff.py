@@ -263,6 +263,126 @@ def test_a_swept_graph_cannot_be_swept_again():
     assert np.array_equal(x.grad, 2.0 * first)
 
 
+def test_two_parents_handed_one_gradient_by_add_keep_it_unchanged():
+    """add hands one g to both its parents. When one of them gathers more, the
+    sums go into an array of its own, so the other's gradient, and the array
+    both were handed, keep their bits."""
+    rng = np.random.default_rng(9)
+    a, b = (Tensor(rng.standard_normal((4, 3)), requires_grad=True) for _ in range(2))
+    g, h = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    ad.backward(ad.sum_(ad.mul(ad.add(a, b), g)))
+    handed = b.grad
+    assert np.shares_memory(a.grad, b.grad) and a.grad.tobytes() == g.tobytes()
+    for _ in range(2):  # a sum into a new array, then one in place
+        ad.backward(ad.sum_(ad.mul(a, h)))
+    assert b.grad is handed and handed.tobytes() == g.tobytes()
+    assert not np.shares_memory(a.grad, handed)
+    assert a.grad.tobytes() == (g + h + h).tobytes()
+
+
+@pytest.mark.parametrize("add", ["dense", "rows"])
+def test_an_array_set_as_grad_from_outside_is_never_written(add):
+    """An array assigned to .grad is not the tensor's own, even where the
+    tensor had summed into one of its own before: a sweep that adds to it, a
+    whole gradient or a row scatter's (rows, sums), makes a new array."""
+    x = Tensor(np.zeros((5, 2)), requires_grad=True)
+
+    def sweep():
+        ad.backward(ad.sum_(ad.mul(x, 2.0) if add == "dense" else ad.take_rows(x, [1, 3])))
+
+    sweep()
+    sweep()
+    mine = np.ones((5, 2))
+    x.grad = mine
+    sweep()
+    sweep()
+    assert np.array_equal(mine, np.ones((5, 2)))
+    expected = np.full((5, 2), 5.0) if add == "dense" else [[1, 1], [3, 3], [1, 1], [3, 3], [1, 1]]
+    assert x.grad is not mine and np.array_equal(x.grad, expected)
+
+
+def test_after_tape_reset_a_sweep_starts_a_new_gradient():
+    """reset() lets go of a parameter's own gradient: the next sweeps leave the
+    array the parameter had summed into unchanged and sum into a new one."""
+    tape = Tape()
+    w = tape.parameter("w", np.ones((4, 2)))
+    for _ in range(3):  # the second sweep allocates w's own gradient, the third adds into it
+        ad.backward(ad.sum_(ad.mul(w, 3.0)))
+    old = w.grad
+    tape.reset()
+    assert w.grad is None
+    for loss in (ad.mul(w, 3.0), ad.take_rows(w, [2]), ad.mul(w, 3.0)):
+        ad.backward(ad.sum_(loss))
+    assert np.array_equal(old, np.full((4, 2), 9.0))
+    assert w.grad is not old and np.array_equal(w.grad, [[6, 6], [6, 6], [7, 7], [6, 6]])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_leaf_swept_in_chunks_gets_the_bits_of_add_at_chunk_by_chunk(monkeypatch, seed):
+    """A chunk loop like a pair loss's over gather_sum: `a` has as many rows as
+    a full chunk, so its full chunks take the dense scatter and its last one
+    the row-sparse (rows, sums); every chunk touches fewer of `b`'s rows than
+    it has. Each leaf's gradient is then the np.add.at scatter of each chunk
+    into zeros, added chunk by chunk in order, signed zeros included."""
+    monkeypatch.setattr(ad, "_CHUNK_ROWS", 6)
+    rng = np.random.default_rng(seed)
+    m, width = 22, 3  # chunks of 6, 6, 6 and 4 pairs
+    values = [rng.standard_normal((6, width)), rng.standard_normal((9, width))]
+    first, second = rng.integers(0, 6, m), rng.integers(0, 9, m)
+    upstream = rng.standard_normal((m, width)) * rng.choice([0.0, 1.0], (m, width))
+    upstream[rng.random((m, width)) < 0.2] = -0.0
+    a, b = (Tensor(v, requires_grad=True) for v in values)
+    refs = [np.zeros_like(v) for v in values]
+    for part in ad.chunks(m):
+        out = ad.gather_sum(a, first[part], b, second[part])
+        ad.backward(ad.sum_(ad.mul(out, upstream[part])))
+        for ref, idx in zip(refs, (first, second)):
+            ref += scatter_add_oracle(upstream[part], idx[part], len(ref))
+    assert a.grad.tobytes() == refs[0].tobytes() and b.grad.tobytes() == refs[1].tobytes()
+
+
+def test_a_chunk_sweep_adds_its_rows_into_the_leafs_own_gradient(monkeypatch):
+    """A leaf each of whose chunks touches fewer rows than it has: the first
+    chunk's sweep allocates its gradient, and each later one adds its rows'
+    sums into that array in place, and checks those rows alone. Past the first
+    chunk, the sweeps' peak traced memory stays below a sixteenth of the leaf,
+    under a whole-gradient NaN/Inf check's boolean array."""
+    monkeypatch.setattr(ad, "_CHUNK_ROWS", 256)
+    rng = np.random.default_rng(10)
+    n, width, m = 50000, 16, 2048
+    a = Tensor(rng.standard_normal((n, width)), requires_grad=True)
+    b = Tensor(rng.standard_normal((n, width)))
+    first, second = rng.integers(0, n, m), rng.integers(0, n, m)
+    upstream = rng.standard_normal((m, width))
+
+    def sweep(part):
+        out = ad.gather_sum(a, first[part], b, second[part])
+        ad.backward(ad.sum_(ad.mul(out, upstream[part])))
+
+    parts = ad.chunks(m)
+    sweep(parts[0])
+    grad, same = a.grad, []
+    tracemalloc.start()
+    try:
+        for part in parts[1:]:
+            sweep(part)
+            same.append(a.grad is grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same == [True] * (len(parts) - 1)
+    assert peak < a.values.nbytes // 16
+
+
+def test_a_row_sparse_add_that_overflows_raises_numeric_fault():
+    """The sweep checks the rows a row-sparse add touched after the add."""
+    x = Tensor(np.zeros((4, 1)), requires_grad=True)
+    ad.backward(ad.sum_(ad.mul(ad.take_rows(x, [1]), 1e308)))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericFault, match="gradient of"):
+            ad.backward(ad.sum_(ad.mul(ad.take_rows(x, [1]), 1e308)))
+
+
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_scatter_ops_reject_out_of_range_rows(bad):
     a = Tensor(np.ones((3, 2)), requires_grad=True)

@@ -359,6 +359,18 @@ def test_verify_gradcheck_fault_injection(monkeypatch, op):
     assert ("autodiff", f"gradcheck:{op}") in [(m, prop) for m, prop, _ in failures]
 
 
+def test_verify_gradcheck_catches_an_activation_derivative_that_drops_g(monkeypatch):
+    """The gradient reaching an elementwise op in the checks is not all ones,
+    so a derivative that ignores g is reported under the op's own name."""
+    import wsgat.autodiff as ad
+    from wsgat import verify
+    forward, grad = ad._ACTIVATIONS["elu"]
+    monkeypatch.setitem(ad._ACTIVATIONS, "elu",
+                        (forward, lambda g, out, saved: grad(np.ones_like(g), out, saved)))
+    failures = verify._gradcheck_ops()
+    assert ("autodiff", "gradcheck:elu") in [(m, prop) for m, prop, _ in failures]
+
+
 def test_parse_config_values(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("layers = 3\nlr = 0.005\nprojection = false\nfeatures = sse\n")
