@@ -17,13 +17,13 @@ lives only until the last gradient that needs it exists. A swept graph cannot
 be swept again: reaching a swept node, from the same root or another, raises
 RuntimeError.
 
-Every op but recompute builds its output through one constructor,
-_node(values, op, *grads), each grad a (parent, g -> gradient) pair; _node
-holds the only backward closure but recompute's, which builds its Tensor
-itself. add, sub and mul broadcast in exactly three cases: identical shapes,
-a scalar on either side, or an (n, k) matrix on the left plus a (k,) row on
-the right (the bias, whose gradient is the column sums of g). Any other pairing
-raises ShapeError.
+Every op but recompute and chunked builds its output through one
+constructor, _node(values, op, *grads), each grad a (parent, g -> gradient)
+pair; _node holds the only backward closures but theirs, which build their
+Tensors themselves. add, sub and mul broadcast in exactly three cases:
+identical shapes, a scalar on either side, or an (n, k) matrix on the left
+plus a (k,) row on the right (the bias, whose gradient is the column sums of
+g). Any other pairing raises ShapeError.
 
 Three fused ops each give the bits of the unfused ops they replace. Two serve
 a dense layer over pairs of node rows without building the pair matrix:
@@ -52,10 +52,16 @@ input and its output, serves only sigmoid, abs_, sign_, log and exp.
 recompute(fn, *inputs) is gradient checkpointing: fn(*inputs) as one node
 that keeps only its inputs and its output, and runs fn again in backward to
 sweep the graph it dropped, through the private _sweep that backward() also
-runs. A wsGAT layer is one such node, so between forward and backward it
-keeps only its input and its output. relay(value, inputs, leaves) is the
-root of a loss swept in parts on leaf copies of `inputs`: a scalar whose
-backward moves each leaf's gathered gradient to its input. Both hand the
+runs. chunked(prepare, fn, n, *inputs) is chunked recomputation: one node
+that keeps only its inputs and its output, fn run over the slices of
+chunks(n) on leaf copies of prepare's rows, with at most one slice's graph
+alive at a time, in forward and in backward alike. A wsGAT layer is one
+chunked node per head, its attention scorer, and one recompute node over
+its input and their logits, so between forward and backward it keeps its
+input, one logit column per head and its output. relay(value, inputs,
+leaves) is the root of a loss swept in parts on leaf copies of `inputs`: a
+scalar whose backward moves each leaf's gathered gradient to its input.
+chunked ends its backward with one such sweep, and all three hand the
 gradients on through one private helper, _leaf_grads.
 
 Row scatters (segment_sum forward, take_rows and gather_sum backward) are one
@@ -64,11 +70,12 @@ sparse product with alpha in place of the ones. Each sums a row's terms in
 index order, starting from zero, so it gives the same bits as numpy.add.at.
 Their row indices must be integers in [0, n); anything else, a boolean mask
 or a float array included, raises ShapeError. A take_rows or gather_sum
-backward whose indices are fewer than the rows is row-sparse: it hands on
-(rows, sums), the rows it touched and their sums alone, which the parent adds
-into those rows of its own gradient, and a sweep then checks only those rows
-for NaN/Inf. A pair head's chunk on a graph of more nodes than the chunk has
-pairs thus costs its leaves' gradients chunk-sized work, not node-sized.
+backward whose indices are fewer than half the rows is row-sparse: it hands
+on (rows, sums), the rows it touched and their sums alone, which the parent
+adds into those rows of its own gradient, and a sweep then checks only those
+rows for NaN/Inf. A pair head's chunk on a graph of more than twice as many
+nodes as the chunk has pairs thus costs its leaves' gradients chunk-sized
+work, not node-sized.
 """
 
 from __future__ import annotations
@@ -161,9 +168,10 @@ def _as_tensor(x):
 
 # rows per slice of chunks(n), the one chunk loop: of propagate's alpha
 # gradient (edges), of leaky_relu's derivative, of elu's (negative entries,
-# not rows) and of a pair head (pairs, in pipelines): a chunk's transients
-# then take 16384 x width floats, however many edges or pairs there are
-_CHUNK_ROWS = 16384
+# not rows), of a wsGAT layer's attention scorer (edges, through chunked) and
+# of a pair head (pairs, in pipelines): a chunk's transients then take
+# 8192 x width floats, however many edges or pairs there are
+_CHUNK_ROWS = 8192
 
 
 def chunks(n):
@@ -283,12 +291,18 @@ def _accumulate(grads, g):
             parent.accumulate_grad(fn(g))
 
 
+def _leaf_copies(tensors):
+    """A leaf Tensor per tensor, sharing its values, which its own node has
+    checked, and requiring a gradient when it does."""
+    return [Tensor(x.values, requires_grad=x.requires_grad, check=False) for x in tensors]
+
+
 def _leaf_grads(inputs, leaves):
     """The hand-off from leaf copies to the tensors they copy, shared by
-    recompute and relay: a (parent, fn) pair per input whose leaf gathered a
-    gradient, fn giving that gradient itself. The gradient moves: the leaf
-    keeps no .grad and fn lets go of it once called, so the input is left as
-    its only holder, which backward frees once it has passed it on."""
+    recompute, chunked and relay: a (parent, fn) pair per input whose leaf
+    gathered a gradient, fn giving that gradient itself. The gradient moves:
+    the leaf keeps no .grad and fn lets go of it once called, so the input is
+    left as its only holder, which backward frees once it has passed it on."""
     grads = []
     for x, leaf in zip(inputs, leaves):
         if leaf.grad is not None:
@@ -474,11 +488,12 @@ def _scatter_add(values, idx, n):
 
 def _scatter_rows(values, idx, n):
     """The gradient of a row gather: _scatter_add(values, idx, n) when idx has
-    at least n entries, else (rows, sums), the rows idx touches (np.unique)
+    at least n / 2 entries, else (rows, sums), the rows idx touches (np.unique)
     and the same product over those rows alone, which accumulate_grad adds
     into its own gradient in place: the bits of adding the n-row scatter, with
-    no n-row array made."""
-    if len(idx) >= n:
+    no n-row array made. Past n / 2 indices, which touch a large share of the
+    rows, the sort and the indexed add cost more than the dense add."""
+    if 2 * len(idx) >= n:
         return _scatter_add(values, idx, n)
     rows, compact = np.unique(idx, return_inverse=True)
     return rows, _scatter_add(values, compact, len(rows))
@@ -620,7 +635,7 @@ def recompute(fn, *inputs):
     inputs = tuple(_as_tensor(x) for x in inputs)
 
     def run():
-        leaves = [Tensor(x.values, requires_grad=x.requires_grad, check=False) for x in inputs]
+        leaves = _leaf_copies(inputs)
         return leaves, _as_tensor(fn(*leaves))
 
     _, out = run()
@@ -632,6 +647,53 @@ def recompute(fn, *inputs):
 
     return Tensor(out.values, requires_grad=out.requires_grad, parents=inputs,
                   backward=backward, op="recompute", check=False)
+
+
+def chunked(prepare, fn, n, *inputs):
+    """fn over the slices of chunks(n), their outputs joined along axis 0, as
+    one node that keeps only its inputs and its output: chunked recomputation.
+    prepare maps the input Tensors to a tuple of Tensors, the rows; fn(part,
+    *rows) maps the rows to the output's rows `part`, through the ops of this
+    module. Both may close over parameters and arrays, but must give the same
+    bits each time they run.
+
+    A pass runs prepare once on leaf copies of the inputs, then fn slice by
+    slice on one set of leaf copies of the rows. Forward keeps each slice's
+    values and drops its graph before the next slice. Backward sweeps each
+    slice's graph again, seeded with its rows of the node's gradient, into the
+    row leaves, which add it in place (row-sparse where the slice has fewer
+    than half as many rows as the leaves); one sweep from a relay node then
+    carries the gathered gradients through prepare's graph to the input
+    leaves, and the inputs receive what their leaves gathered. fn thus runs
+    twice per slice and step, and at most one slice's graph exists at a time.
+    A parameter's gradient sums by slice, so over several slices its bits may
+    differ from those of one graph over all n rows.
+    """
+    inputs = tuple(_as_tensor(x) for x in inputs)
+
+    def run(visit):
+        leaves = _leaf_copies(inputs)
+        rows = tuple(prepare(*leaves))
+        row_leaves = _leaf_copies(rows)
+        for part in chunks(n):
+            visit(part, fn(part, *row_leaves))
+        return leaves, rows, row_leaves
+
+    parts = []  # each slice's values, and whether its graph requires a gradient
+    run(lambda part, out: parts.append((out.values, out.requires_grad)))
+    if not parts:
+        raise ShapeError("chunked over zero rows")
+
+    def backward(g):
+        leaves, rows, row_leaves = run(lambda part, out: _sweep(out, g[part]))
+        root = relay(0.0, rows, row_leaves)
+        del rows, row_leaves  # the relay node is then the rows' only holder
+        _sweep(root, np.float64(1.0))
+        _accumulate(_leaf_grads(inputs, leaves), g)
+
+    return Tensor(np.concatenate([values for values, _ in parts]),
+                  requires_grad=any(grad for _, grad in parts), parents=inputs,
+                  backward=backward, op="chunked", check=False)
 
 
 def relay(value, inputs, leaves):

@@ -7,12 +7,17 @@ their magnitudes sum to 1 per node. Aggregation is one sparse product,
 autodiff.propagate: each destination's row is the coefficient-weighted sum of
 the (optionally projected) source embeddings, with no per-edge message matrix.
 
-A layer's forward is one autodiff.recompute node over its input H, so
-between forward and backward it keeps only H and its output. Backward runs
-the whole layer again, over the edge arrays the forward fetched: per head
-the attention MLP (its node rows, then its pair stage), the signed softmax,
-the projection and propagate, then the head merge, one concat or mul node
-that applies the activation in place as its epilogue.
+Per head, a layer's forward scores the edges with one autodiff.chunked node
+over its input H: the attention MLP's node rows once, then its pair stage a
+chunk of edges at a time, keeping only the (E+N, 1) logit column. The rest
+of the layer is one autodiff.recompute node over H and those columns, so
+between forward and backward a layer keeps H, one logit column per head and
+its output. Backward runs the rest again, over the edge arrays the forward
+fetched: per head the signed softmax, the projection and propagate, then the
+head merge, one concat or mul node that applies the activation in place as
+its epilogue. Then each scorer reruns its node rows and, chunk by chunk,
+its pair stage, so it holds one chunk's attention_hidden-wide arrays at a
+time.
 
 Mlp, which scores the edges here and the node pairs in the prediction heads,
 runs in two stages and never builds the pair matrix: Mlp.rows(H) runs its
@@ -133,13 +138,18 @@ class WsGatLayer:
         w = np.concatenate([g.weight, np.full(g.num_nodes, self.self_loop_weight)])
         return src, dst, w
 
-    def _scorer(self, head, g):
-        """The attention logits of ``head`` as a function of the node rows H:
-        one per edge and self-loop of g, MLP(h_dst || h_src || w), (E+N, 1).
+    def _scorer(self, head, H, g):
+        """The attention logits of ``head`` over the node rows H: one per edge
+        and self-loop of g, MLP(h_dst || h_src || w), (E+N, 1), as one
+        autodiff.chunked node over H that scores a chunk of edges at a time.
         It closes over the edge arrays fetched here."""
         src, dst, w = self.edge_arrays(g)
-        mlp, extra = self.att[head], Tensor(w[:, None])
-        return lambda H: mlp.over_pairs(mlp.rows(H), dst, src, extra)
+        mlp = self.att[head]
+
+        def pairs(part, *rows):
+            return mlp.over_pairs(rows, dst[part], src[part], Tensor(w[part, None]))
+
+        return ad.chunked(mlp.rows, pairs, len(dst), H)
 
     @staticmethod
     def _check_rows(H, g):
@@ -149,7 +159,7 @@ class WsGatLayer:
     def attention_logits(self, head, H, g):
         """One logit per edge and self-loop: MLP(h_dst || h_src || w)."""
         self._check_rows(H, g)
-        return self._scorer(head, g)(H)
+        return self._scorer(head, H, g)
 
     def attention_coefficients(self, head, logits, g):
         """Signed softmax per destination node of the edges' logit column."""
@@ -159,12 +169,12 @@ class WsGatLayer:
     def forward(self, H, g):
         self._check_rows(H, g)
         src, dst, _ = self.edge_arrays(g)
-        scorers = [self._scorer(k, g) for k in range(self.heads)]
+        logits = [self._scorer(k, H, g) for k in range(self.heads)]
 
-        def layer(H):
+        def layer(H, *logits):
             outs = []
-            for k, score in enumerate(scorers):
-                alpha = ad.segment_signed_softmax(ad.squeeze_col(score(H)), dst, g.num_nodes)
+            for k, e in enumerate(logits):
+                alpha = ad.segment_signed_softmax(ad.squeeze_col(e), dst, g.num_nodes)
                 z = ad.matmul(H, self.w_out[k]) if self.projection else H
                 outs.append(ad.propagate(z, alpha, src, dst, g.num_nodes))
             # with one head: a concat of one part copies it, and * 1.0 is exact
@@ -172,8 +182,9 @@ class WsGatLayer:
                 return ad.concat(outs, axis=1, act=self.act)
             return ad.mul(functools.reduce(ad.add, outs), 1.0 / self.heads, act=self.act)
 
-        # the layer's graph, every (E+N)-row array in it, is rebuilt in backward
-        return ad.recompute(layer, H)
+        # the layer's graph past the logits, every (E+N)-row array in it, is
+        # rebuilt in backward
+        return ad.recompute(layer, H, *logits)
 
 
 class WsGatStack:

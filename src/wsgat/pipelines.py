@@ -15,13 +15,15 @@ on the signed_unit scale.
 Every loss and every evaluation computes the embeddings and each head's node
 rows (Mlp.rows) once, then runs the head's pair stage over the chunks of
 pairs autodiff.chunks gives, so a head's activations take chunk-sized memory,
-not pair-count-sized. A training loss runs the chunks on leaf copies of the
-rows and sweeps each backward at once, adding into one gradient array that
-each leaf owns, only the rows its pairs touch when the chunk has fewer pairs
-than the graph has nodes; one last sweep, from an autodiff.relay
-node, carries the gradients the leaves gathered through the rows and the GNN.
-Each row is freed there once it has passed its gradient on, before the GNN's
-layers, each one autodiff.recompute node, run again.
+not pair-count-sized. A training loss runs the heads on one leaf copy of the
+embeddings, and each term's chunks on leaf copies of its rows, sweeping each
+chunk backward at once, adding into one gradient array that each leaf owns,
+only the rows its pairs touch when the chunk has fewer than half as many
+pairs as the graph has nodes. After a term's chunks one sweep, from an
+autodiff.relay node, carries the gradients its leaves gathered through its
+rows into the embeddings' copy, freeing the rows and leaves before the next
+term starts; one last relay sweep hands the copy's gradient to the GNN,
+whose layers then run again in backward.
 """
 
 from __future__ import annotations
@@ -264,43 +266,48 @@ def _pair_loss(model, terms, sweep):
     parameter's gradient too: the tape's gradients are cleared first, so they
     hold this loss's gradients alone.
 
-    The embeddings are computed once, and each term's node rows (head.rows)
-    just before its chunks. Each chunk, a slice of the pairs from
-    autodiff.chunks, runs the head on leaf copies of the rows, weighted by its
-    share of the pairs, and is swept backward and freed before the next, so the
-    leaves and the head weights gather the chunks' gradients, each tensor in
-    one array it allocates at its first sum and then adds into in place. A
-    chunk of fewer pairs than there are nodes hands a leaf only the rows its
+    The embeddings are computed once, and with ``sweep`` the heads run on one
+    leaf copy of them. Each term's node rows (head.rows) are computed just
+    before its chunks. Each chunk, a slice of the pairs from autodiff.chunks,
+    runs the head on leaf copies of the rows, weighted by its share of the
+    pairs, and is swept backward and freed before the next, so the leaves and
+    the head weights gather the chunks' gradients, each tensor in one array
+    it allocates at its first sum and then adds into in place. A chunk of
+    fewer than half as many pairs as nodes hands a leaf only the rows its
     pairs touch (autodiff's row-sparse scatter), so it makes no node-sized
-    array for it. A last sweep,
-    from an autodiff.relay node that moves each leaf's gradient to its row,
-    carries them through the rows and the GNN and frees each once its row has
-    passed it on; the rows themselves are freed then too, before the GNN's
-    layers run again.
+    array for it. After the term's chunks one sweep, from an autodiff.relay node
+    that moves each leaf's gradient to its row, carries them through the rows
+    into the embeddings' copy; the term's rows and leaves are freed there,
+    before the next term starts. One last relay sweep hands the copy's
+    gradient to the GNN, and frees the embeddings once they have passed it
+    on.
     """
     if sweep:
         model.tape.reset()
     emb = model.embeddings()
-    rows, leaves, total = [], [], 0.0
+    # with sweep, the heads run on one leaf copy of the embeddings
+    base = ad._leaf_copies([emb])[0] if sweep else emb
+    total = 0.0
     for head, pairs, targets, loss, weight in terms:
-        rows += head.rows(emb)  # the pair (H W_a + b0, H W_b)
-        # the rows' nodes have checked these values already
-        leaves += [Tensor(r.values, requires_grad=True, check=False) for r in rows[-2:]]
+        rows = head.rows(base)  # the pair (H W_a + b0, H W_b)
+        leaves = ad._leaf_copies(rows)
         for part in ad.chunks(len(pairs)):
-            out = head(leaves[-2:], pairs[part, 0], pairs[part, 1])
+            out = head(leaves, pairs[part, 0], pairs[part, 1])
             chunk = ad.mul(loss(out, targets[part]), weight * (len(out.values) / len(pairs)))
             if sweep:
                 ad.backward(chunk)
             total += float(chunk.values)
             del out, chunk  # the graph behind it must not live through the next chunk
-    if sweep:
-        # rows and leaves in term order, each head's first row before its
-        # second: the order in which one graph over all pairs adds their gradients
-        root = ad.relay(total, rows, leaves)
-        # the relay node is then the rows' only holder, so the sweep frees each
-        # row once it has passed its gradient on, before the GNN's layers rerun
+        # the relay node, if any, is then the rows' only holder, so its sweep
+        # frees each row once it has passed its gradient on to the copy
+        hand_off = ad.relay(total, rows, leaves) if sweep else None
         del rows, leaves
-        ad.backward(root)
+        if sweep:
+            ad.backward(hand_off)
+    if sweep:
+        hand_off = ad.relay(total, [emb], [base])
+        del emb, base  # the GNN's output is freed once it has passed its gradient on
+        ad.backward(hand_off)
     return total
 
 

@@ -219,6 +219,25 @@ def _gradcheck_ops():
     y = Tensor(rng.standard_normal((3, 2)))  # needs no gradient; b and bias are closed over
     check("recompute", lambda: ad.sum_(ad.tanh(ad.recompute(
         lambda x, y: ad.mul(ad.linear(x, b, bias, "tanh"), y), a, y))), [a, b, bias])
+    # an attention scorer over 14 edges of 5 nodes in chunks of 4: the node
+    # rows, then the pair stage slice by slice, through one chunked node
+    scorer = WsGatLayer(Tape(seed=1), "s", 4, 3, TrainConfig(attention_hidden=3)).att[0]
+    for p in scorer.biases:  # biases start at zero, which would hide where they are added
+        p.values = rng.standard_normal(p.shape)
+    h = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    first, second = rng.integers(0, 5, 14), rng.integers(0, 5, 14)
+    edge_w = rng.uniform(-1.0, 1.0, (14, 1))
+
+    def scorer_pairs(part, *rows):
+        return scorer.over_pairs(rows, first[part], second[part], Tensor(edge_w[part]))
+
+    chunk_rows = ad._CHUNK_ROWS
+    try:
+        ad._CHUNK_ROWS = 4
+        check("chunked", lambda: ad.sum_(ad.tanh(ad.chunked(scorer.rows, scorer_pairs, 14, h))),
+              [h] + scorer.weights + scorer.biases)
+    finally:
+        ad._CHUNK_ROWS = chunk_rows
     b2 = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     w_chunk = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
 
@@ -227,7 +246,7 @@ def _gradcheck_ops():
         # copies of the rows, then relay as the root. Only a, b, bias and b2
         # are checked: fd_gradcheck zeroes the grads the chunk sweeps gave w_chunk
         rows = (ad.linear(a, b, bias, "tanh"), ad.linear(a, b2, bias))
-        leaves = [Tensor(r.values, requires_grad=True, check=False) for r in rows]
+        leaves = ad._leaf_copies(rows)
         total = 0.0
         for first, second in (([0, 2], [1, 1]), ([2, 1, 0], [0, 2, 2])):
             chunk = ad.sum_(ad.tanh(ad.matmul(
@@ -302,6 +321,56 @@ def _suite_oracle():
         neg = ad.segment_signed_softmax(Tensor(-logits.values[:, 0]), dst, n).values
         if np.max(np.abs(neg + alpha)) > 0:
             failures.append(("wsgat", "logit_negation_flips_alpha", float(np.max(np.abs(neg + alpha)))))
+
+    # a two-head layer whose scorers, softmax gradients and activations run
+    # over many chunks of 7 rows: its output against the dense reference at
+    # 1e-10, every gradient against the one-chunk layer's at 1e-10 relative
+    # and against central differences of the dense reference
+    g = random_graph(np.random.default_rng(12), 8)
+    tape = Tape(seed=12)
+    layer = WsGatLayer(tape, "l", 3, 2, TrainConfig(heads=2, attention_hidden=4))
+    for p in tape.params.values():
+        p.values = p.values + 0.3 * np.random.default_rng(13).standard_normal(p.shape)
+    H = Tensor(np.random.default_rng(14).standard_normal((8, 3)), requires_grad=True)
+    tensors = [H] + list(tape.params.values())
+    seed = np.random.default_rng(15).standard_normal((8, 4))
+
+    def layer_grads():
+        out = layer.forward(H, g)
+        values = out.values.copy()
+        ad.backward(ad.sum_(ad.mul(out, seed)))
+        grads = [t.grad for t in tensors]
+        for t in tensors:
+            t.grad = None
+        return values, grads
+
+    _, one_chunk = layer_grads()
+    chunk_rows = ad._CHUNK_ROWS
+    try:
+        ad._CHUNK_ROWS = 7
+        values, grads = layer_grads()
+        diff = np.max(np.abs(values - dense_layer_reference(layer, H.values, g)))
+        if diff > 1e-10:
+            failures.append(("wsgat", "chunked_layer_dense_equivalence", float(diff)))
+        diff = max(np.max(np.abs(x - y)) / max(np.max(np.abs(y)), 1e-300)
+                   for x, y in zip(grads, one_chunk))
+        if diff > 1e-10:
+            failures.append(("wsgat", "chunked_layer_gradients", float(diff)))
+        worst = 0.0
+        for t, grad in zip(tensors, grads):
+            flat, grad = t.values.reshape(-1), grad.reshape(-1)
+            for i in range(flat.size):
+                orig, diffs = flat[i], []
+                for step in (FD_H, -FD_H):
+                    flat[i] = orig + step
+                    diffs.append(np.sum(dense_layer_reference(layer, H.values, g) * seed))
+                flat[i] = orig
+                fd = (diffs[0] - diffs[1]) / (2 * FD_H)
+                worst = max(worst, abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-6))
+        if worst >= FD_RTOL:
+            failures.append(("wsgat", "chunked_layer_dense_gradients", worst))
+    finally:
+        ad._CHUNK_ROWS = chunk_rows
 
     # stack dense equivalence
     g = random_graph(np.random.default_rng(3), 7)

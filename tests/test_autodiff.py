@@ -319,16 +319,17 @@ def test_after_tape_reset_a_sweep_starts_a_new_gradient():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_a_leaf_swept_in_chunks_gets_the_bits_of_add_at_chunk_by_chunk(monkeypatch, seed):
-    """A chunk loop like a pair loss's over gather_sum: `a` has as many rows as
-    a full chunk, so its full chunks take the dense scatter and its last one
-    the row-sparse (rows, sums); every chunk touches fewer of `b`'s rows than
-    it has. Each leaf's gradient is then the np.add.at scatter of each chunk
-    into zeros, added chunk by chunk in order, signed zeros included."""
+    """A chunk loop like a pair loss's over gather_sum: `a` has twice as many
+    rows as a full chunk has pairs, so its full chunks take the dense scatter
+    and its last one the row-sparse (rows, sums); every chunk has fewer than
+    half as many pairs as `b` has rows, so it is row-sparse throughout. Each
+    leaf's gradient is then the np.add.at scatter of each chunk into zeros,
+    added chunk by chunk in order, signed zeros included."""
     monkeypatch.setattr(ad, "_CHUNK_ROWS", 6)
     rng = np.random.default_rng(seed)
     m, width = 22, 3  # chunks of 6, 6, 6 and 4 pairs
-    values = [rng.standard_normal((6, width)), rng.standard_normal((9, width))]
-    first, second = rng.integers(0, 6, m), rng.integers(0, 9, m)
+    values = [rng.standard_normal((12, width)), rng.standard_normal((13, width))]
+    first, second = rng.integers(0, 12, m), rng.integers(0, 13, m)
     upstream = rng.standard_normal((m, width)) * rng.choice([0.0, 1.0], (m, width))
     upstream[rng.random((m, width)) < 0.2] = -0.0
     a, b = (Tensor(v, requires_grad=True) for v in values)
@@ -734,6 +735,59 @@ def test_recompute_gives_the_bits_of_the_plain_graph(seed):
         return out.values.tobytes(), grads
 
     assert run(ad.recompute) == run(lambda fn, *xs: fn(*xs))
+
+
+@pytest.mark.parametrize("chunk_rows", [ad._CHUNK_ROWS, 7])
+def test_chunked_matches_its_plain_graph(monkeypatch, chunk_rows):
+    """chunked(prepare, fn, n, *inputs) gives the values and every gradient of
+    the plain graph fn(slice(0, n), *prepare(*inputs)) to 1e-12 relative, in
+    one chunk and in many: of the parameters prepare and fn close over, one
+    used by both (as a scorer's w0 is), and through an input that is itself a
+    node. An input that needs no gradient gets none. The node keeps only its
+    inputs and its output."""
+    monkeypatch.setattr(ad, "_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(3)
+    n, nodes = 40, 9
+    first, second = rng.integers(0, nodes, n), rng.integers(0, nodes, n)
+    extra = rng.standard_normal((n, 1))
+    shapes = ((nodes, 4), (nodes, 4), (9, 5), (5,), (5, 2), (2,))
+    values = [rng.standard_normal(s) for s in shapes]
+    seed = rng.standard_normal((n, 2))
+
+    def run(chunked):
+        a, const = Tensor(values[0], requires_grad=True), Tensor(values[1])
+        params = [Tensor(v, requires_grad=True) for v in values[2:]]
+        w0, b0, w1, b1 = params
+
+        def prepare(x, y):
+            return (ad.linear(ad.add(x, y), ad.take_rows(w0, range(4)), b0),
+                    ad.matmul(x, ad.take_rows(w0, range(4, 8))))
+
+        def fn(part, r0, r1):
+            hidden = ad.gather_sum(r0, first[part], r1, second[part], Tensor(extra[part]),
+                                   ad.take_rows(w0, [8]), act="leaky_relu")
+            return ad.linear(hidden, w1, b1, act="tanh")
+
+        x = ad.tanh(a)
+        out = chunked(prepare, fn, n, x, const)
+        values_out = out.values.copy()
+        if chunked is ad.chunked:
+            assert out.op == "chunked" and out.parents == (x, const) and out.shape == (n, 2)
+            assert {id(t) for t in ad.topo_order(out)} == {id(a), id(x), id(const), id(out)}
+        ad.backward(ad.sum_(ad.mul(out, seed)))
+        assert const.grad is None
+        return [values_out, a.grad] + [p.grad for p in params]
+
+    assert len(ad.chunks(n)) == (1 if chunk_rows >= n else 6)
+    got = run(ad.chunked)
+    ref = run(lambda prepare, fn, n, *xs: fn(slice(0, n), *prepare(*xs)))
+    for x, y in zip(got, ref):
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def test_chunked_over_zero_rows_raises_shape_error():
+    with pytest.raises(ShapeError, match="zero rows"):
+        ad.chunked(lambda x: (x,), lambda part, x: x, 0, Tensor(np.ones((2, 1))))
 
 
 @pytest.mark.parametrize("seed", range(3))

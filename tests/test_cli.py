@@ -327,9 +327,9 @@ def test_parity_digests_repeat_within_one_process(capsys):
     assert verify.parity(cases) == overall
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == lines[3:] and lines[2] == f"overall {overall[:16]}"
-    assert [line.split()[:2] for line in lines[:2]] == [["chunk_rows=16384", "tiny"],
+    assert [line.split()[:2] for line in lines[:2]] == [["chunk_rows=8192", "tiny"],
                                                        ["chunk_rows=37", "tiny"]]
-    assert autodiff._CHUNK_ROWS == 16384
+    assert autodiff._CHUNK_ROWS == 8192
 
 
 @pytest.mark.parametrize("argv", [[], ["metrics"], ["parity", "parity"]])
@@ -342,7 +342,8 @@ def test_verify_module_usage_error_exits_2(argv):
     assert proc.stderr == b"usage: python -m wsgat.verify parity\n"
 
 
-@pytest.mark.parametrize("op", ["matmul", "linear", "gather_sum", "propagate", "recompute"])
+@pytest.mark.parametrize("op", ["matmul", "linear", "gather_sum", "propagate", "recompute",
+                                "chunked"])
 def test_verify_gradcheck_fault_injection(monkeypatch, op):
     import wsgat.autodiff as ad
     from wsgat import verify

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,24 +77,38 @@ def plain_recompute(fn, *inputs):
     return fn(*inputs)
 
 
+def plain_chunked(prepare, fn, n, *inputs):
+    return fn(slice(0, n), *prepare(*inputs))
+
+
 @pytest.mark.parametrize("heads", [1, 2])
 def test_forward_keeps_only_its_input_and_its_output(monkeypatch, heads):
-    """The graph a layer's forward leaves is one recompute node over H: no
-    node with one row per edge and self-loop, no head's output, no merge and
-    no activation input. With recompute patched to a plain call the layer's
-    graph is kept, among it one (E+N, attention_hidden) gather_sum and one
-    propagate per head: the check can fail. That graph ends in its merge
-    node, which carries the activation: it holds no standalone one."""
+    """The graph a layer's forward leaves is H, one chunked node per head over
+    H, its (E+N, 1) logit column, and one recompute node over H and those
+    columns: no node with one row per edge and self-loop wider than a logit,
+    no head's output, no merge and no activation input. With chunked patched
+    to a plain graph each head's (E+N, attention_hidden) gather_sum is kept,
+    and with recompute patched to a plain call each head's propagate: the
+    check can fail. That graph ends in its merge node, which carries the
+    activation: it holds no standalone one."""
     g = random_graph(np.random.default_rng(0), 9, 0.4)
     layer = make_layer(in_width=4, out_width=3, heads=heads, attention_hidden=7)
     H = Tensor(np.random.default_rng(1).standard_normal((9, 4)), requires_grad=True)
+    edge_rows = g.num_edges + g.num_nodes
     out = layer.forward(H, g)
-    assert out.op == "recompute" and out.parents == (H,)
-    assert [id(t) for t in ad.topo_order(out)] == [id(H), id(out)]
+    logits = out.parents[1:]
+    assert out.op == "recompute" and out.parents[0] is H and len(logits) == heads
+    assert all(e.op == "chunked" and e.parents == (H,) and e.shape == (edge_rows, 1)
+               for e in logits)
+    assert {id(t) for t in ad.topo_order(out)} == {id(H), id(out), *map(id, logits)}
+    with monkeypatch.context() as plain:
+        plain.setattr(ad, "chunked", plain_chunked)
+        ops = [(t.op, t.shape) for t in ad.topo_order(layer.forward(H, g))]
+        assert ops.count(("gather_sum", (edge_rows, 7))) == heads
+        assert ops.count(("propagate", (9, 3))) == 0
     monkeypatch.setattr(ad, "recompute", plain_recompute)
     ops = [(t.op, t.shape) for t in ad.topo_order(layer.forward(H, g))]
-    edge_rows = g.num_edges + g.num_nodes
-    assert ops.count(("gather_sum", (edge_rows, 7))) == heads
+    assert ops.count(("gather_sum", (edge_rows, 7))) == 0
     assert ops.count(("propagate", (9, 3))) == heads
     assert ops[-1] == ("concat", (9, 3 * heads)) and layer.act == "elu"
     assert not {op for op, _ in ops} & set(ad._ACTIVATIONS)
@@ -107,8 +123,11 @@ def test_forward_keeps_only_its_input_and_its_output(monkeypatch, heads):
 def test_a_recomputed_layer_gives_the_bits_of_its_plain_graph(monkeypatch, heads, merge,
                                                                projection, activation):
     """Forward and backward through the layer's one recompute node give the
-    output, every parameter's gradient and H's gradient of the same layer
-    with recompute patched to a plain call, to the bit."""
+    output and every parameter's gradient of the same layer with recompute
+    patched to a plain call, to the bit. H's gradient sums the same terms,
+    the rerun's and each head scorer's: in the plain graph they meet in
+    another order, so it is equal to 1e-15 relative, and to the bit with one
+    head."""
     g = random_graph(np.random.default_rng(heads), 9, 0.4)
     values = np.random.default_rng(2).standard_normal((9, 4))
 
@@ -124,12 +143,45 @@ def test_a_recomputed_layer_gives_the_bits_of_its_plain_graph(monkeypatch, heads
         # read before backward, which writes an activation's gradient over its output
         values_out = out.values.tobytes()
         ad.backward(ad.sum_(ad.mul(out, np.random.default_rng(5).standard_normal(out.shape))))
-        return [values_out, H.grad.tobytes()] + [(name, p.grad.tobytes())
-                                                 for name, p in tape.params.items()]
+        return [values_out] + [(name, p.grad.tobytes())
+                               for name, p in tape.params.items()], H.grad
 
-    recomputed = run()
+    recomputed, h_grad = run()
     monkeypatch.setattr(ad, "recompute", plain_recompute)
-    assert recomputed == run()
+    plain, plain_h_grad = run()
+    assert recomputed == plain
+    assert np.max(np.abs(h_grad - plain_h_grad)) <= 1e-15 * np.max(np.abs(plain_h_grad))
+    if heads == 1:
+        assert h_grad.tobytes() == plain_h_grad.tobytes()
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_a_layer_backward_over_many_scorer_chunks_makes_no_edge_by_hidden_array(
+        monkeypatch, heads):
+    """A layer's backward whose scorers run over many chunks of edges
+    allocates no array of (E+N) x attention_hidden floats, not even one at a
+    time: each head's scorer holds one chunk's hidden layer and its gradient.
+    With the edges in one chunk it does, so the check can fail."""
+    g = random_graph(np.random.default_rng(5), 60, 0.3)
+    edge_rows, hidden = g.num_edges + g.num_nodes, 64
+    scorer_bytes = edge_rows * hidden * 8
+    seed = np.random.default_rng(6).standard_normal((60, 3 * heads))
+
+    def backward_peak(chunk_rows):
+        monkeypatch.setattr(ad, "_CHUNK_ROWS", chunk_rows)
+        layer = make_layer(in_width=4, out_width=3, heads=heads, attention_hidden=hidden)
+        H = Tensor(np.random.default_rng(7).standard_normal((60, 4)), requires_grad=True)
+        loss = ad.sum_(ad.mul(layer.forward(H, g), seed))
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert edge_rows > 16 * 64  # many chunks of 64 edges
+    assert backward_peak(64) < scorer_bytes
+    assert backward_peak(edge_rows) > scorer_bytes
 
 
 @pytest.mark.parametrize("activation", ACTIVATIONS)

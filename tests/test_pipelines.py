@@ -114,6 +114,11 @@ def test_val_slice_without_validation_monitors_train():
     assert np.array_equal(val_idx, train_idx)
 
 
+def plain_chunked(prepare, fn, n, *inputs):
+    """autodiff.chunked as one plain graph over all n rows."""
+    return fn(slice(0, n), *prepare(*inputs))
+
+
 def watch_sweeps(monkeypatch, check):
     """Call check(model, output) on every graph ad.backward sweeps in a training
     loss: each chunk's and the last one, through the node rows and the GNN."""
@@ -187,8 +192,8 @@ def test_no_pair_matrix_in_a_training_loss_graph(monkeypatch, task, fused):
     """No node of a swept graph is a pair-wide input (2*embed columns for a
     head, 2*F+1 for an attention scorer with F-wide input) over more than the
     node rows. With every MLP's pair stage patched to its dense reference over
-    the pair matrix (its rows then the node matrix itself) and recompute to a
-    plain call, which keeps the scorers' pair stages in the graph, each of
+    the pair matrix (its rows then the node matrix itself) and chunked to a
+    plain graph, which keeps the scorers' pair stages in the graph, each of
     those widths appears: the check can fail for the heads and for every
     layer's scorer."""
     if not fused:
@@ -199,7 +204,7 @@ def test_no_pair_matrix_in_a_training_loss_graph(monkeypatch, task, fused):
         monkeypatch.setattr(layer.Mlp, "rows", lambda mlp, H: (H, H))
         monkeypatch.setattr(layer.Mlp, "over_pairs", dense)
         monkeypatch.setattr(pipelines.PairHead, "__call__", dense)
-        monkeypatch.setattr(ad, "recompute", lambda fn, *xs: fn(*xs))
+        monkeypatch.setattr(ad, "chunked", plain_chunked)
     offenders, pair_widths = set(), set()
 
     def check(model, output):
@@ -226,10 +231,10 @@ def test_no_message_matrix_in_a_training_loss_graph(monkeypatch, task, fused):
     """No node of a swept graph has one row per edge and self-loop (E + N) and
     a layer's out_width columns, the messages, or attention_hidden columns,
     the attention MLP's hidden layer: each head's edge-wide arrays live inside
-    recompute nodes, also with the three-op chain that propagate replaces
-    patched in (fused False). With recompute patched to a plain call, the
-    hidden layers are kept, and with the chain the messages too: the check
-    can fail."""
+    recompute and chunked nodes, also with the three-op chain that propagate
+    replaces patched in (fused False). With recompute patched to a plain call
+    and chunked to a plain graph, the hidden layers are kept, and with the
+    chain the messages too: the check can fail."""
     if not fused:
         monkeypatch.setattr(ad, "propagate", lambda z, alpha, src, dst, n: ad.segment_sum(
             ad.scale_rows(ad.take_rows(z, src), alpha), dst, n))
@@ -253,6 +258,7 @@ def test_no_message_matrix_in_a_training_loss_graph(monkeypatch, task, fused):
 
     with monkeypatch.context() as plain:
         plain.setattr(ad, "recompute", lambda fn, *xs: fn(*xs))
+        plain.setattr(ad, "chunked", plain_chunked)
         assert kept_widths(plain) == (hidden if fused else hidden | out_widths)
     assert kept_widths(monkeypatch) == set()
 
@@ -284,14 +290,15 @@ def test_no_head_activation_wider_than_a_chunk_in_a_swept_graph(monkeypatch, tas
 def test_a_swept_chunk_keeps_one_hidden_array_per_head_layer(monkeypatch, task):
     """A chunk's graph holds exactly head_layers - 1 arrays of its pairs by
     head_hidden: each hidden layer's tanh is applied inside the layer's
-    gather_sum or linear node. The last sweep, through the node rows and the
-    GNN, holds no array of one row per edge and self-loop wider than a
-    head's logits; with recompute patched to a plain call it holds each
+    gather_sum or linear node. Each term's hand-off sweep, from a relay node
+    through its head's node rows, holds no pair-wide node. The last sweep,
+    through the GNN, holds no array of one row per edge and self-loop wider
+    than a head's logits; with chunked patched to a plain graph it holds each
     head's attention_hidden-wide gather_sum, so that check can fail."""
     monkeypatch.setattr(ad, "_CHUNK_ROWS", 4)
 
     def sweeps(patch):
-        chunks, last = [], []
+        chunks, hand_offs, last = [], [], []
 
         def check(model, output):
             nodes = ad.topo_order(output)
@@ -299,6 +306,10 @@ def test_a_swept_chunk_keeps_one_hidden_array_per_head_layer(monkeypatch, task):
                 edge_rows = model.graph.num_edges + model.graph.num_nodes
                 last.append(sorted(n.op for n in nodes if n.values.ndim == 2
                                    and n.shape[0] == edge_rows and n.shape[1] > 1))
+                return
+            if output.op == "relay":  # a term's hand-off
+                hand_offs.append(sorted({n.op for n in nodes if n.values.ndim == 2
+                                         and n.shape[0] > model.graph.num_nodes}))
                 return
             pairs = next(n.shape[0] for n in nodes if n.op == "gather_sum")
             assert pairs <= 4
@@ -309,14 +320,15 @@ def test_a_swept_chunk_keeps_one_hidden_array_per_head_layer(monkeypatch, task):
         train(task, random_graph(np.random.default_rng(4), 12, 0.35),
               tiny_config(heads=2, embed=3, feature_dim=4, attention_hidden=4, head_hidden=7,
                           head_layers=4, epochs=1))
-        return chunks, last
+        return chunks, hand_offs, last
 
     with monkeypatch.context() as plain:
-        plain.setattr(ad, "recompute", lambda fn, *xs: fn(*xs))
-        assert sweeps(plain)[1] == [["gather_sum", "gather_sum"]]
-    chunks, last = sweeps(monkeypatch)
+        plain.setattr(ad, "chunked", plain_chunked)
+        assert sweeps(plain)[2] == [["gather_sum", "gather_sum"]]
+    chunks, hand_offs, last = sweeps(monkeypatch)
     assert len(chunks) > 3
     assert all(ops == ["gather_sum", "linear", "linear"] for ops in chunks), chunks
+    assert hand_offs == [[]] * (1 if task == "sign" else 2)
     assert last == [[]]
 
 
@@ -392,33 +404,82 @@ def test_every_head_row_is_freed_before_the_first_layer_backward(monkeypatch, ta
 
 
 @pytest.mark.parametrize("task", ["sign", "weight", "signed-weight"])
-def test_last_sweep_keeps_no_node_rows_by_head_hidden_but_the_heads_rows(monkeypatch, task):
-    """The last sweep of a training loss, through the node rows and the GNN,
-    holds no node of one row per node and head_hidden columns but the heads'
-    own Mlp.rows nodes: the gradients the leaves gathered reach the rows
-    through one relay node, with no product of each row and its gradient."""
-    rows, head_rows, last = pipelines.PairHead.rows, [], []
+def test_hand_off_sweeps_keep_no_node_rows_by_head_hidden_but_the_terms_rows(monkeypatch, task):
+    """Each term's hand-off sweep, through its head's node rows to the leaf
+    copy of the embeddings, holds no node of one row per node and head_hidden
+    columns but that head's own two Mlp.rows nodes: the gradients the leaves
+    gathered reach the rows through one relay node, with no product of each
+    row and its gradient. The last sweep, through the GNN, holds none."""
+    rows, head_rows, hand_offs, last = pipelines.PairHead.rows, [], [], []
 
     def watched_rows(head, H):
         out = rows(head, H)
-        head_rows.extend(out)
+        head_rows.append(out)
         return out
 
     def check(model, output):
         nodes = ad.topo_order(output)
+        shape = (model.graph.num_nodes, model.config.head_hidden)
         if any(n is model.X for n in nodes):  # the last sweep
-            shape = (model.graph.num_nodes, model.config.head_hidden)
-            last.append(([n.op for n in nodes if n.shape == shape
-                          and not any(n is r for r in head_rows)],
-                         sum(any(n is r for r in head_rows) for n in nodes)))
+            last.append([n.op for n in nodes if n.shape == shape])
+        elif output.op == "relay":  # a term's hand-off, after the latest rows
+            term_rows = [id(r) for r in head_rows[-1]]
+            hand_offs.append(([n.op for n in nodes if n.shape == shape
+                               and id(n) not in term_rows],
+                              sum(id(n) in term_rows for n in nodes)))
 
     monkeypatch.setattr(pipelines.PairHead, "rows", watched_rows)
     watch_sweeps(monkeypatch, check)
     train(task, random_graph(np.random.default_rng(4), 12, 0.35),
           tiny_config(heads=2, embed=3, feature_dim=4, attention_hidden=4, head_hidden=7,
                       epochs=2))
-    rows_per_loss = 2 if task == "sign" else 4  # two per head
-    assert last == [([], rows_per_loss)] * 2, last
+    terms = 1 if task == "sign" else 2
+    assert hand_offs == [([], 2)] * terms * 2, hand_offs
+    assert last == [[]] * 2, last
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_no_first_term_row_or_leaf_lives_through_the_second_terms_chunks(monkeypatch, keep):
+    """While the weight head's chunks run, the existence head's node rows and
+    their leaf copies, each Tensor and its array, are unreachable: the first
+    term's hand-off frees them before the second term starts. With the rows
+    and leaves each relay node is built from kept in a list (keep), they are
+    still alive there: the check can fail."""
+    rows, score, relay = pipelines.PairHead.rows, pipelines.PairHead.__call__, ad.relay
+    refs, alive, kept = {}, [], []
+
+    def watched_rows(head, H):
+        out = rows(head, H)
+        refs.setdefault(head, []).extend(weakref.ref(x) for r in out for x in (r, r.values))
+        return out
+
+    def watched_score(head, leaves, *args):
+        refs[head].extend(weakref.ref(leaf) for leaf in leaves)
+        if head is not model_heads[0]:
+            alive.append(sum(ref() is not None for ref in refs.get(model_heads[0], [])))
+        return score(head, leaves, *args)
+
+    def kept_relay(*args):
+        kept.append(args)
+        return relay(*args)
+
+    model_heads = []
+    init = TaskModel.__init__
+
+    def watched_init(model, *args):
+        init(model, *args)
+        model_heads[:] = [model.exist_head, model.weight_head]
+
+    monkeypatch.setattr(ad, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(TaskModel, "__init__", watched_init)
+    monkeypatch.setattr(pipelines.PairHead, "rows", watched_rows)
+    monkeypatch.setattr(pipelines.PairHead, "__call__", watched_score)
+    if keep:
+        monkeypatch.setattr(ad, "relay", kept_relay)
+    train("signed-weight", random_graph(np.random.default_rng(4), 12, 0.35),
+          tiny_config(epochs=1))
+    assert len(alive) > 3 and len(refs[model_heads[0]]) > 4
+    assert (max(alive) > 0) is keep, alive
 
 
 @pytest.mark.parametrize("projection", [True, False])
